@@ -25,14 +25,8 @@ from .model import (
     SolveStats,
     Status,
     ValidationError,
+    _PARAM_KEYS,
 )
-
-_PARAM_KEYS = {
-    Family.F: ("p",),
-    Family.CRASHING: ("k", "p"),
-    Family.FUELOPT: ("p", "c"),
-    Family.QUADRATIC: ("w", "t"),
-}
 
 
 def write_instance(inst: NestedInstance) -> bytes:

@@ -7,10 +7,12 @@ nondecreasing in lam, so the bracket [lam_lo, lam_hi] with
 sum(x(lam_lo)) <= R <= sum(x(lam_hi)) narrows until every coordinate is pinned
 to within the requested accuracy, after which the residual R - sum(x(lam_lo))
 is distributed in index order inside the per-coordinate brackets. The integer
-kernel runs the same search over unit marginal costs f_i(t) - f_i(t-1),
-driving the float bracket down to adjacent representable values so that the
-critical marginal is identified exactly; a heap greedy with the same
-lowest-index tie-break is kept as an independent oracle.
+kernel runs the same search over unit marginal costs f_i(t) - f_i(t-1). It
+keeps the unit allocations at both bracket ends, so each step searches only
+between them, and stops once they differ by at most one unit per element (or
+the bracket ends are adjacent doubles). The few residual units then go out in
+greedy order, ascending marginal with the lowest index first; a heap greedy
+with the same tie-break is kept as an independent oracle.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
@@ -296,19 +298,26 @@ def _waterfill(x, hi, offsets, leftover, which):
     return x
 
 
-def _int_alloc(obj, idx, lo, hi, lam_e):
-    """Largest integer t in [lo, hi] whose unit marginal stays <= lam."""
-    tl = lo.copy()
-    th = hi.copy()
-    while True:
-        open_mask = tl < th
-        if not open_mask.any():
-            return tl
-        tm = np.floor((tl + th + 1.0) * 0.5)
-        marg = obj.value_at(idx, tm) - obj.value_at(idx, tm - 1.0)
-        ok = open_mask & (marg <= lam_e)
-        tl = np.where(ok, tm, tl)
-        th = np.where(open_mask & ~ok, tm - 1.0, th)
+def _unit_marginal(obj, idx, t):
+    """Cost of unit t: f(t) - f(t - 1), as the heap greedy prices it."""
+    return obj.value_at(idx, t) - obj.value_at(idx, t - 1.0)
+
+
+def _int_alloc(obj, idx, tl, th, lam_e):
+    """Largest integer t in [tl, th] whose unit marginal stays <= lam, given
+    that unit tl already qualifies (or is the box floor). Converged elements
+    drop out of the halving, so each step evaluates only the open ones."""
+    tl = tl.copy()
+    th = th.copy()
+    k = np.flatnonzero(tl < th)
+    while k.size:
+        a, b, i = tl[k], th[k], idx[k]
+        tm = np.floor((a + b + 1.0) * 0.5)
+        ok = _unit_marginal(obj, i, tm) <= lam_e[k]
+        tl[k] = np.where(ok, tm, a)
+        th[k] = np.where(ok, b, tm - 1.0)
+        k = k[tl[k] < th[k]]
+    return tl
 
 
 def solve_segments_integer(
@@ -320,7 +329,16 @@ def solve_segments_integer(
     targets: np.ndarray,
     deadline: float | None = None,
 ) -> np.ndarray:
-    """Exact integer optimum per segment, greedy-equivalent tie-breaking."""
+    """Exact integer optimum per segment, greedy-equivalent tie-breaking.
+
+    Bisects each segment's multiplier bracket [lam_lo, lam_hi] while keeping
+    x_l = x(lam_lo) and x_h = x(lam_hi); x is monotone in lam, so a midpoint
+    only searches [x_l, x_h]. A segment stops once every x_h - x_l <= 1 or
+    its bracket ends are adjacent doubles. Its residual units all have
+    marginals in (lam_lo, lam_hi] and go out in greedy order: ascending
+    next-unit marginal, lowest index first. At adjacent doubles those
+    marginals are all equal, so that order is plain index order.
+    """
     x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
     if not open_seg.any():
         return x_out
@@ -337,34 +355,43 @@ def solve_segments_integer(
     starts = seg_off[:-1]
 
     free = e_hi > e_lo
-    first = obj.value_at(e_idx, e_lo + 1.0) - obj.value_at(e_idx, e_lo)
-    last = obj.value_at(e_idx, e_hi) - obj.value_at(e_idx, e_hi - 1.0)
-    lam_lo = np.minimum.reduceat(np.where(free, first, np.inf), starts)
-    lam_lo = np.nextafter(lam_lo - 1.0, -np.inf)  # strictly below every marginal
+    first = _unit_marginal(obj, e_idx, e_lo + 1.0)
+    last = _unit_marginal(obj, e_idx, e_hi)
+    # x(lam_lo) = e_lo and x(lam_hi) = e_hi without evaluating anything
+    lam_lo = np.nextafter(np.minimum.reduceat(np.where(free, first, np.inf), starts), -np.inf)
     lam_hi = np.maximum.reduceat(np.where(free, last, -np.inf), starts)
+    x_l = e_lo.copy()
+    x_h = e_hi.copy()
 
     it = 0
     while True:
         lam = 0.5 * (lam_lo + lam_hi)
-        stuck = (lam <= lam_lo) | (lam >= lam_hi)
-        if stuck.all():
+        stuck = (lam <= lam_lo) | (lam >= lam_hi)  # adjacent doubles
+        live = ~stuck & (np.maximum.reduceat(x_h - x_l, starts) > 1.0)
+        if not live.any():
             break
-        lam = np.where(stuck, lam_lo, lam)  # keep frozen segments in place
-        xm = _int_alloc(obj, e_idx, e_lo, e_hi, lam[seg_of])
-        sums = np.add.reduceat(xm, starts)
-        ge = (sums >= seg_tgt) & ~stuck
-        lt = ~ge & ~stuck
-        lam_hi = np.where(ge, lam, lam_hi)
-        lam_lo = np.where(lt, lam, lam_lo)
+        work = np.flatnonzero(live[seg_of] & (x_h > x_l))
+        xm = x_l.copy()
+        xm[work] = _int_alloc(obj, e_idx[work], x_l[work], x_h[work], lam[seg_of[work]])
+        ge = np.add.reduceat(xm, starts) >= seg_tgt
+        move_hi = live & ge
+        move_lo = live & ~ge
+        lam_hi = np.where(move_hi, lam, lam_hi)
+        lam_lo = np.where(move_lo, lam, lam_lo)
+        np.copyto(x_h, xm, where=move_hi[seg_of])
+        np.copyto(x_l, xm, where=move_lo[seg_of])
         it += 1
         if it % 4 == 0:
             _check_deadline(deadline)
 
-    # adjacent-float bracket: marginals in (lam_lo, lam_hi] all equal lam_hi
-    xl = _int_alloc(obj, e_idx, e_lo, e_hi, lam_lo[seg_of])
-    xh = _int_alloc(obj, e_idx, e_lo, e_hi, lam_hi[seg_of])
-    resid = seg_tgt - np.add.reduceat(xl, starts)
-    x = _segment_fill(xl, xh - xl, seg_off, resid, seg_of)
+    gaps = x_h - x_l
+    cand = np.flatnonzero(gaps > 0)
+    marg = np.full(gaps.shape, np.inf)
+    marg[cand] = _unit_marginal(obj, e_idx[cand], x_l[cand] + 1.0)
+    order = np.lexsort((marg, seg_of))  # stable: equal marginals keep index order
+    resid = seg_tgt - np.add.reduceat(x_l, starts)
+    x = np.empty_like(x_l)
+    x[order] = _segment_fill(x_l[order], gaps[order], seg_off, resid, seg_of)
     x_out[out_pos] = x
     return x_out
 

@@ -180,15 +180,24 @@ def solve(
         targets = (abar[w] - abar[v - 1]) + (lower_cum[ends] - lower_cum[starts])
         e_idx = _concat_ranges(starts, ends)
         offsets = np.concatenate([[0], np.cumsum(ends - starts)])
+        box_lo, box_hi = cb[e_idx], db[e_idx]
         if inst.mode is Mode.CONTINUOUS:
             vals = solve_segments_continuous(
-                inst.objective, e_idx, cb[e_idx], db[e_idx], offsets, targets, eps_sub, deadline
+                inst.objective, e_idx, box_lo, box_hi, offsets, targets, eps_sub, deadline
             )
         else:
             vals = solve_segments_integer(
-                inst.objective, e_idx, cb[e_idx], db[e_idx], offsets, targets, deadline
+                inst.objective, e_idx, box_lo, box_hi, offsets, targets, deadline
             )
-        assert np.all(vals >= cb[e_idx] - 1e-9) and np.all(vals <= db[e_idx] + 1e-9)
+        inside = (vals >= box_lo - 1e-9) & (vals <= box_hi + 1e-9)
+        if not inside.all():  # NaN counts as outside, and as the worst
+            excess = np.where(inside, -np.inf, np.maximum(box_lo - vals, vals - box_hi))
+            k = int(np.argmax(excess))
+            raise RuntimeError(
+                f"kernel left the working box at depth {depth}: x[{int(e_idx[k])}] = "
+                f"{float(vals[k])} lies outside [{float(box_lo[k])}, {float(box_hi[k])}] "
+                f"by {float(excess[k])}"
+            )
         x[e_idx] = vals
         stats.rap_calls += int(v.size)
         if deadline is not None and time.perf_counter() > deadline:

@@ -237,3 +237,62 @@ def test_kernel_equivalence_fuzz(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     family = OBJECTIVE_FAMILIES[int(rng.integers(0, len(OBJECTIVE_FAMILIES)))]
     _equivalence_case(rng, family)
+
+
+def _wide_box(rng, n, lo_base):
+    """Boxes up to 1e3 units wide and a target a few thousand units above the floor."""
+    c = rng.integers(lo_base, lo_base + 50, n).astype(float)
+    d = c + rng.integers(0, 1001, n)
+    free = int(rng.integers(0, min(4000, int((d - c).sum())) + 1))
+    return c, d, float(c.sum() + free)
+
+
+def _assert_matches_greedy(p):
+    xi = rap_integer(p)
+    xg = rap_integer_greedy(p)
+    assert xi.tolist() == xg.tolist()
+    assert xi.sum() == p.target
+
+
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_kernel_equivalence_wide_boxes(family):
+    """Boxes wide enough that the multiplier search narrows per-element unit
+    brackets and finishes on residual units, bit-for-bit against the greedy."""
+    rng = np.random.Generator(np.random.PCG64(20 + OBJECTIVE_FAMILIES.index(family)))
+    lo_base = 1 if family in (Family.CRASHING, Family.FUELOPT) else 0
+    for _ in range(8):
+        n = int(rng.integers(2, 25))
+        c, d, target = _wide_box(rng, n, lo_base)
+        _assert_matches_greedy(rap(random_objective(rng, family, n), c, d, target))
+
+
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_kernel_equivalence_equal_parameters(family):
+    """Identical costs on every element: equal marginals tie across elements,
+    and the lowest index must win each tie."""
+    rng = np.random.Generator(np.random.PCG64(40 + OBJECTIVE_FAMILIES.index(family)))
+    lo_base = 1 if family in (Family.CRASHING, Family.FUELOPT) else 0
+    for _ in range(6):
+        n = int(rng.integers(2, 16))
+        one = random_objective(rng, family, 1)
+        obj = ObjectiveSpec(family, {k: np.repeat(v, n) for k, v in one.params.items()})
+        c = (lo_base + rng.integers(0, 3, n) * rng.integers(0, 200)).astype(float)
+        d = c + rng.choice([0, 1, 7, 500, 1000], n)
+        free = int(rng.integers(0, int((d - c).sum()) + 1))
+        _assert_matches_greedy(rap(obj, c, d, float(c.sum() + free)))
+
+
+def test_kernel_linear_custom_fills_in_index_order():
+    """All marginals equal: the bracket closes at adjacent doubles with gaps
+    of many units, which go to the lowest indices first."""
+    obj = ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: 2.0 * x)
+    rng = np.random.Generator(np.random.PCG64(60))
+    c = rng.integers(0, 20, 12).astype(float)
+    d = c + rng.integers(0, 300, 12)
+    free = int((d - c).sum()) // 2
+    p = rap(obj, c, d, float(c.sum() + free))
+    x = rap_integer(p)
+    full = np.cumsum(d - c) <= free
+    k = int(np.argmin(full))  # first element that is not filled up
+    assert np.array_equal(x[:k], d[:k]) and np.array_equal(x[k + 1 :], c[k + 1 :])
+    _assert_matches_greedy(p)

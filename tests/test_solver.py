@@ -27,6 +27,9 @@ from nested_alloc import (
     tighten,
 )
 
+from nested_alloc import solver as solver_mod
+from nested_alloc.cli import _scaled_integer_instance
+
 from conftest import small_integer_instance
 
 
@@ -255,6 +258,31 @@ def test_integer_solve_matches_oracles(seed):
     if dp.status is Status.OPTIMAL:
         assert dp.objective == objective_value(inst, dp.x)
         assert dp.objective == greedy.objective == sol.objective
+
+
+@pytest.mark.parametrize("family", ["f", "f-uniform", "f-active", "crashing", "fuelopt"])
+def test_integer_solve_matches_greedy_on_wide_boxes(family):
+    """Benchmark families on the 1e3 grid: boxes hundreds of units wide,
+    bit-for-bit against the unit greedy."""
+    for seed in range(3):
+        inst = _scaled_integer_instance(generate_instance(family, 40, 40, seed), 1e3)
+        greedy = greedy_solve(inst)
+        sol, _ = solve(inst)
+        assert sol.status == greedy.status
+        if greedy.status is Status.OPTIMAL:
+            assert np.array_equal(sol.x, greedy.x)
+
+
+def test_kernel_output_outside_box_raises(monkeypatch):
+    kernel = solver_mod.solve_segments_integer
+
+    def off_by_one(obj, idx, lo, hi, *args):
+        return kernel(obj, idx, lo, hi, *args) + 1.0
+
+    monkeypatch.setattr(solver_mod, "solve_segments_integer", off_by_one)
+    message = r"depth 1: x\[1\] = 4.0 lies outside \[0.0, 3.0\] by 1.0"
+    with pytest.raises(RuntimeError, match=message):
+        solve(quad_example(Mode.INTEGER))
 
 
 class TestUnboundedBoxes:
