@@ -2,6 +2,7 @@
 
 Exit codes: 0 success/optimal, 1 usage or validation error, 2 infeasible
 instance, 3 failed verification. Benchmark timing covers the solve call only;
+each benchmark row also says whether its solution passed `verify`;
 per-trial seeds are base_seed + trial so any CSV row can be regenerated with
 `gen` + `solve`. NESTED_ALLOC_THREADS caps how many trials of a benchmark
 cell run concurrently (default 1).
@@ -38,7 +39,7 @@ from .solver import active_tolerance, solve
 
 CSV_COLUMNS = [
     "family", "n", "m", "seed", "solver", "mode", "epsilon",
-    "objective", "active", "rap_calls", "wall_ms", "status",
+    "objective", "active", "rap_calls", "wall_ms", "status", "verified",
 ]
 
 
@@ -69,6 +70,25 @@ def _scaled_integer_instance(inst: NestedInstance, scale: float) -> NestedInstan
         objective=inst.objective,
         mode=Mode.INTEGER,
     )
+
+
+def _integer_feasibility(inst: NestedInstance, x: np.ndarray, tau: float) -> dict:
+    """The check `verify` makes on an integer solution: the total, the
+    partial-sum bounds and the boxes, each within tau."""
+    y = prefix_sums(inst, x)
+    slacks = inst.a - y[: inst.m - 1]
+    ok = bool(
+        abs(y[-1] - inst.B) <= tau
+        and np.all(slacks >= -tau)
+        and np.all(x >= inst.lower - tau)
+        and np.all(x <= inst.upper + tau)
+    )
+    return {
+        "feasible": ok,
+        "sum_gap": float(abs(y[-1] - inst.B)),
+        "prefix_slacks": slacks.tolist(),
+        "verdict": ok,
+    }
 
 
 def cmd_gen(args) -> int:
@@ -179,17 +199,27 @@ def _bench_cell(cfg: BenchConfig, family: str, n: int, m: int, trial: int):
     }
     try:
         sol, stats = _solve_with(inst, cfg.solver, cfg.epsilon, cfg.time_limit_s)
+    except SolveTimeout:
+        status = "timeout"
+    except (HullEligibilityError, HullNotApplicableError, ValueError):
+        status = "error"
+    else:
+        if sol.x is None:
+            verified = ""
+        elif inst.mode is Mode.INTEGER:
+            verified = _integer_feasibility(inst, sol.x, 0.0)["verdict"]
+        else:
+            verified = verify_kkt(inst, sol, kkt_tolerance(inst, sol.x, cfg.epsilon)).verdict
         row.update(
             objective=sol.objective if sol.x is not None else "",
             active=stats.active_constraints,
             rap_calls=stats.rap_calls,
             wall_ms=stats.wall_ms,
             status=sol.status.value,
+            verified=verified,
         )
-    except SolveTimeout:
-        row.update(objective="", active="", rap_calls="", wall_ms="", status="timeout")
-    except (HullEligibilityError, HullNotApplicableError, ValueError):
-        row.update(objective="", active="", rap_calls="", wall_ms="", status="error")
+        return row
+    row.update(objective="", active="", rap_calls="", wall_ms="", status=status, verified="")
     return row
 
 
@@ -238,6 +268,7 @@ def cmd_bench(args) -> int:
                             "rap_calls": "",
                             "wall_ms": np.mean([r["wall_ms"] for r in done]) if done else "",
                             "status": "aggregate",
+                            "verified": "",
                         }
                         writer.writerow(agg)
                         wrote += 1
@@ -261,25 +292,12 @@ def cmd_verify(args) -> int:
     if sol.x.shape[0] != inst.n:
         return _fail(f"dimension mismatch: instance has n={inst.n}, solution has {sol.x.shape[0]}")
     if inst.mode is Mode.INTEGER:
-        y = prefix_sums(inst, sol.x)
-        slacks = inst.a - y[: inst.m - 1]
-        ok = (
-            abs(y[-1] - inst.B) <= args.tau
-            and np.all(slacks >= -args.tau)
-            and np.all(sol.x >= inst.lower - args.tau)
-            and np.all(sol.x <= inst.upper + args.tau)
-        )
-        report = {
-            "feasible": bool(ok),
-            "sum_gap": float(abs(y[-1] - inst.B)),
-            "prefix_slacks": slacks.tolist(),
-            "verdict": bool(ok),
-        }
+        report = _integer_feasibility(inst, sol.x, args.tau)
     else:
         eps = sol.epsilon if sol.epsilon else 1e-8
         tau = args.tau if args.tau > 0 else kkt_tolerance(inst, sol.x, eps)
         report = verify_kkt(inst, sol, tau).to_dict()
-    print(json.dumps(report, indent=1))
+    print(json.dumps(report))
     return 0 if report["verdict"] else 3
 
 

@@ -47,7 +47,7 @@ def write_instance(inst: NestedInstance) -> bytes:
             "params": {k: v.tolist() for k, v in inst.objective.params.items()},
         },
     }
-    return json.dumps(doc, indent=1).encode("utf-8")
+    return json.dumps(doc).encode("utf-8")
 
 
 def _require(doc: dict, key: str, kinds, where: str = "instance") -> Any:
@@ -112,7 +112,7 @@ def write_solution(sol: Solution, stats: SolveStats | None = None) -> bytes:
             "active_constraints": stats.active_constraints,
             "wall_ms": stats.wall_ms,
         }
-    return json.dumps(doc, indent=1).encode("utf-8")
+    return json.dumps(doc).encode("utf-8")
 
 
 def read_solution(data: bytes | str) -> Solution:

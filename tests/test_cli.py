@@ -145,6 +145,15 @@ class TestBench:
         assert rows[0]["status"] == "optimal"
         assert rows[1]["status"] == "aggregate"
 
+    @pytest.mark.parametrize("mode", ["cont", "int"])
+    def test_optimal_rows_verified(self, tmp_path, mode):
+        cfg, out = self.make_config(tmp_path, families=["crashing", "f", "fuelopt"], mode=mode)
+        assert run(["bench", cfg]) == 0
+        rows = list(csv.DictReader(out.open()))
+        optimal = [r for r in rows if r["status"] == "optimal"]
+        assert optimal and all(r["verified"] == "True" for r in optimal)
+        assert all(r["verified"] == "" for r in rows if r["status"] != "optimal")
+
     def test_determinism_modulo_wall_ms(self, tmp_path):
         cfg, out = self.make_config(tmp_path)
         run(["bench", cfg])
@@ -187,6 +196,7 @@ class TestBench:
         assert run(["bench", cfg]) == 0
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["status"] == "timeout"
+        assert rows[0]["verified"] == ""
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NESTED_ALLOC_THREADS", "4")
