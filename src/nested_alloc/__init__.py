@@ -42,10 +42,8 @@ from .oracles import (
     verify_kkt,
 )
 from .rap import (
-    LambdaBracket,
     RapProblem,
     SolveTimeout,
-    initial_bracket,
     rap_continuous,
     rap_integer,
     rap_integer_greedy,
@@ -53,7 +51,6 @@ from .rap import (
 from .solver import (
     WorkingBounds,
     active_tolerance,
-    block_feasible_fill,
     check_feasible,
     solve,
     tighten,
@@ -67,7 +64,6 @@ __all__ = [
     "HullNotApplicableError",
     "InstanceFamily",
     "KktReport",
-    "LambdaBracket",
     "Mode",
     "NestedInstance",
     "ObjectiveSpec",
@@ -80,7 +76,6 @@ __all__ = [
     "WorkingBounds",
     "active_growth_experiment",
     "active_tolerance",
-    "block_feasible_fill",
     "brute_force_solve",
     "build_hull_instance",
     "check_feasible",
@@ -90,7 +85,6 @@ __all__ = [
     "hull_solve",
     "hull_solve_instance",
     "hull_vertex_count",
-    "initial_bracket",
     "kkt_tolerance",
     "lifted_crashing_instance",
     "lower_hull_vertices",

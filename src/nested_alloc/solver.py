@@ -40,14 +40,13 @@ from .rap import (
 
 @dataclass
 class WorkingBounds:
-    """Per-variable interval arrays in the zero-based form.
+    """Tightened bounds in the zero-based form.
 
     `abar` has m+1 entries with abar[0] = 0 and abar[m] = B - sum(lower);
-    `cbar`/`dbar` are the current per-variable bounds (initially 0 and
-    upper - lower).
+    `dbar` holds the per-variable upper bounds upper - lower (every lower
+    bound is 0 there).
     """
 
-    cbar: np.ndarray
     dbar: np.ndarray
     abar: np.ndarray
 
@@ -81,7 +80,7 @@ def tighten(inst: NestedInstance) -> WorkingBounds:
         # with the j = 0 term (capacity alone, no bound) entering as 0
         g = np.concatenate([[0.0], capped - cum_cap[: inst.m - 1]])
         abar[1:-1] = cum_cap[: inst.m - 1] + np.minimum.accumulate(g)[1:]
-    return WorkingBounds(cbar=np.zeros(inst.n), dbar=d_shift.copy(), abar=abar)
+    return WorkingBounds(dbar=d_shift.copy(), abar=abar)
 
 
 def check_feasible(inst: NestedInstance, wb: WorkingBounds) -> bool:
@@ -95,18 +94,6 @@ def check_feasible(inst: NestedInstance, wb: WorkingBounds) -> bool:
     P = inst.positions
     suffix = np.concatenate([np.cumsum(wb.dbar[::-1])[::-1], [0.0]])[P[:-1]]
     return not np.any(suffix < wb.abar[-1] - wb.abar[:-1] - tol)
-
-
-def block_feasible_fill(inst: NestedInstance, wb: WorkingBounds, v: int) -> np.ndarray:
-    """Feasible allocation for block v (zero-based form): fill left to right,
-    each variable takes what remains up to its bound."""
-    P = inst.positions
-    lo, hi = P[v - 1], P[v]
-    cap = wb.abar[v] - wb.abar[v - 1]
-    x = np.empty(hi - lo)
-    for j in range(hi - lo):
-        x[j] = min(wb.dbar[lo + j], max(cap - x[:j].sum(), 0.0))
-    return x
 
 
 def _build_levels(m: int) -> list[tuple[np.ndarray, np.ndarray]]:

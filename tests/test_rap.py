@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 
@@ -10,10 +11,22 @@ from nested_alloc import (
     Family,
     ObjectiveSpec,
     RapProblem,
-    initial_bracket,
+    generate_instance,
     rap_continuous,
     rap_integer,
     rap_integer_greedy,
+)
+from nested_alloc import rap as rap_module
+from nested_alloc import solver
+from nested_alloc.rap import (
+    _bracket_segments,
+    _check_deadline,
+    _clamped_inverse,
+    _concat_ranges,
+    _fast_paths,
+    _segment_fill,
+    _waterfill,
+    solve_segments_continuous,
 )
 
 from conftest import OBJECTIVE_FAMILIES, random_objective
@@ -144,9 +157,12 @@ class TestContinuous:
         c = rng.uniform(0.3, 0.8, 4)
         d = c + rng.uniform(0.5, 1.5, 4)
         target = float(rng.uniform(c.sum(), d.sum()))
-        br = initial_bracket(rap(obj, c, d, target))
-        assert br.lam_lo <= br.lam_hi
-        assert br.sum_lo <= target <= br.sum_hi
+        idx = np.arange(4)
+        lam_lo, lam_hi = _bracket_segments(obj, idx, c, d, np.array([0, 4]), np.array([target]))
+        assert lam_lo[0] <= lam_hi[0]
+        sum_lo = _clamped_inverse(obj, idx, np.full(4, lam_lo[0]), c, d).sum()
+        sum_hi = _clamped_inverse(obj, idx, np.full(4, lam_hi[0]), c, d).sum()
+        assert sum_lo <= target <= sum_hi
 
     def test_flat_marginals_waterfill(self):
         obj = ObjectiveSpec(
@@ -297,3 +313,301 @@ def test_kernel_linear_custom_fills_in_index_order():
     k = int(np.argmin(full))  # first element that is not filled up
     assert np.array_equal(x[:k], d[:k]) and np.array_equal(x[k + 1 :], c[k + 1 :])
     _assert_matches_greedy(p)
+
+
+# -- continuous kernel against the bisection it replaced -------------------
+
+
+def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, max_iter=2400):
+    """`solve_segments_continuous` as it was before it interpolated: plain
+    bisection of every segment's multiplier bracket, kept verbatim as the
+    reference for the Illinois search."""
+    x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
+    if not open_seg.any():
+        return x_out
+
+    # compact the open segments
+    seg_ids = np.flatnonzero(open_seg)
+    out_pos = _concat_ranges(offsets[:-1][seg_ids], offsets[1:][seg_ids])
+    e_idx = idx[out_pos]
+    e_lo = lo[out_pos]
+    e_hi = hi[out_pos]
+    lengths = (offsets[1:] - offsets[:-1])[seg_ids]
+    seg_off = np.concatenate([[0], np.cumsum(lengths)])
+    seg_tgt = targets[seg_ids]
+    seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
+
+    lam_lo, lam_hi = _bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)
+    # allocations at the bracket ends, maintained incrementally per bisection
+    x_l = _clamped_inverse(obj, e_idx, lam_lo[seg_of], e_lo, e_hi)
+    x_h = _clamped_inverse(obj, e_idx, lam_hi[seg_of], e_lo, e_hi)
+
+    def finalize(sel):
+        """Repair converged segments: fill residual gaps in index order."""
+        elems = sel[seg_of]
+        xl = x_l[elems]
+        xh = x_h[elems]
+        sub_len = lengths[sel]
+        sub_off = np.concatenate([[0], np.cumsum(sub_len)])
+        sub_of = np.repeat(np.arange(int(sel.sum())), sub_len)
+        resid = seg_tgt[sel] - np.add.reduceat(xl, sub_off[:-1])
+        gaps = xh - xl
+        x = _segment_fill(xl, gaps, sub_off, resid, sub_of)
+        leftover = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
+        big = np.abs(leftover) > eps_x * sub_len
+        if np.any(big):
+            # flat-marginal segment: any feasible point is optimal there, so
+            # restart from the floor and spread the budget uniformly
+            np.copyto(x, e_lo[elems], where=big[sub_of])
+            budget = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
+            x = _waterfill(x, e_hi[elems], sub_off, budget, big)
+        x_out[out_pos[elems]] = x
+
+    it = 0
+    while True:
+        lam = 0.5 * (lam_lo + lam_hi)
+        stuck = (lam <= lam_lo) | (lam >= lam_hi)  # float resolution exhausted
+        xm = _clamped_inverse(obj, e_idx, lam[seg_of], e_lo, e_hi)
+        sums = np.add.reduceat(xm, seg_off[:-1])
+        ge = sums >= seg_tgt
+        move_hi = ge & ~stuck
+        move_lo = ~ge & ~stuck
+        lam_hi = np.where(move_hi, lam, lam_hi)
+        lam_lo = np.where(move_lo, lam, lam_lo)
+        np.copyto(x_h, xm, where=move_hi[seg_of])
+        np.copyto(x_l, xm, where=move_lo[seg_of])
+        width = np.maximum.reduceat(x_h - x_l, seg_off[:-1])
+        it += 1
+        done = (width <= eps_x) | stuck | (it >= max_iter)
+        if it % 8 == 0:
+            _check_deadline(deadline)
+        if done.all():
+            finalize(np.ones(len(seg_ids), dtype=bool))
+            return x_out
+        if done.sum() * 2 >= len(seg_ids):
+            # retire finished segments and compact the working set
+            finalize(done)
+            keep = ~done
+            keep_elems = keep[seg_of]
+            seg_ids = seg_ids[keep]
+            out_pos = out_pos[keep_elems]
+            e_idx = e_idx[keep_elems]
+            e_lo = e_lo[keep_elems]
+            e_hi = e_hi[keep_elems]
+            x_l = x_l[keep_elems]
+            x_h = x_h[keep_elems]
+            lengths = lengths[keep]
+            seg_off = np.concatenate([[0], np.cumsum(lengths)])
+            seg_tgt = seg_tgt[keep]
+            seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
+            lam_lo = lam_lo[keep]
+            lam_hi = lam_hi[keep]
+
+
+@pytest.fixture
+def illinois_everywhere(monkeypatch):
+    """Interpolate in calls of every size: the kernel does so only in calls
+    of 2000 or more open elements, and these cases are small."""
+    monkeypatch.setattr(rap_module, "_ILLINOIS_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(rap_module, "_ILLINOIS_ELEMENTS_PER_SEGMENT", 0)
+
+
+def _assert_matches_bisection(obj, c, d, lengths, targets, eps_x):
+    """The kernel lands within eps_x of the bisection on every coordinate,
+    stays in the box and hits every segment target up to rounding."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    idx = np.arange(offsets[-1])
+    targets = np.asarray(targets, dtype=float)
+    x = solve_segments_continuous(obj, idx, c, d, offsets, targets, eps_x)
+    ref = _bisect_reference(obj, idx, c, d, offsets, targets, eps_x)
+    assert np.all(np.abs(x - ref) <= eps_x)
+    assert np.all((x >= c) & (x <= d))
+    rounding = 8 * np.finfo(float).eps * np.add.reduceat(np.abs(x), offsets[:-1])
+    assert np.all(np.abs(np.add.reduceat(x, offsets[:-1]) - targets) <= rounding)
+    return x
+
+
+MIXED_LENGTHS = [1, 2, 3, 5, 1, 8, 13, 40, 2, 150, 400]
+
+
+def _random_boxes(rng, lengths, lo_min=0.2):
+    n = int(np.sum(lengths))
+    c = rng.uniform(lo_min, 1.0, n)
+    d = c + rng.uniform(0.5, 2.0, n)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    sum_c = np.add.reduceat(c, offsets[:-1])
+    sum_d = np.add.reduceat(d, offsets[:-1])
+    return c, d, rng.uniform(sum_c, sum_d)
+
+
+def _custom_objective(n, rng):
+    """Convex CUSTOM objective with a derivative and no inverse, so every
+    multiplier step inverts f' by inner bisection."""
+    w = rng.uniform(0.5, 2.0, n)
+    return ObjectiveSpec(
+        Family.CUSTOM,
+        {},
+        value_fn=lambda i, x: w[i] * math.exp(x) + 0.5 * x * x,
+        derivative_fn=lambda i, x: w[i] * math.exp(x) + x,
+    )
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_illinois_matches_bisection(family):
+    rng = np.random.Generator(np.random.PCG64(70 + OBJECTIVE_FAMILIES.index(family)))
+    for eps_x in (1e-6, 1e-9, 1e-12):
+        for _ in range(4):
+            lengths = rng.permutation(MIXED_LENGTHS)
+            c, d, targets = _random_boxes(rng, lengths)
+            obj = random_objective(rng, family, c.size)
+            _assert_matches_bisection(obj, c, d, lengths, targets, eps_x)
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+def test_illinois_matches_bisection_custom_without_inverse():
+    rng = np.random.Generator(np.random.PCG64(75))
+    lengths = [1, 4, 2, 9, 3]
+    c, d, targets = _random_boxes(rng, lengths, lo_min=-1.0)
+    _assert_matches_bisection(_custom_objective(c.size, rng), c, d, lengths, targets, 1e-9)
+
+
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_small_calls_bisect_bit_for_bit(family):
+    """Below the interpolation threshold the kernel is the bisection."""
+    rng = np.random.Generator(np.random.PCG64(80 + OBJECTIVE_FAMILIES.index(family)))
+    lengths = rng.permutation(MIXED_LENGTHS)
+    c, d, targets = _random_boxes(rng, lengths)
+    assert c.size < rap_module._ILLINOIS_MIN_ELEMENTS
+    obj = random_objective(rng, family, c.size)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    idx = np.arange(c.size)
+    x = solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9)
+    assert np.array_equal(x, _bisect_reference(obj, idx, c, d, offsets, targets, 1e-9))
+
+
+def test_illinois_matches_bisection_above_threshold():
+    """Calls big enough to interpolate without forcing it."""
+    rng = np.random.Generator(np.random.PCG64(76))
+    lengths = [2500, 1, 7, 300, 2, 60]
+    assert sum(lengths) >= (
+        rap_module._ILLINOIS_MIN_ELEMENTS
+        + rap_module._ILLINOIS_ELEMENTS_PER_SEGMENT * len(lengths)
+    )
+    for family in OBJECTIVE_FAMILIES:
+        c, d, targets = _random_boxes(rng, lengths)
+        obj = random_objective(rng, family, c.size)
+        _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+@pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])
+def test_illinois_pole_at_lower_zero(family):
+    """f' is -inf at x = 0, so the bracket passes through an interior point."""
+    rng = np.random.Generator(np.random.PCG64(77))
+    lengths = rng.permutation(MIXED_LENGTHS)
+    c, d, targets = _random_boxes(rng, lengths)
+    c[rng.random(c.size) < 0.5] = 0.0
+    obj = random_objective(rng, family, c.size)
+    _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_illinois_infinite_uppers(family):
+    rng = np.random.Generator(np.random.PCG64(78))
+    lengths = rng.permutation(MIXED_LENGTHS)
+    c, d, targets = _random_boxes(rng, lengths)
+    d[rng.random(d.size) < 0.3] = np.inf
+    obj = random_objective(rng, family, c.size)
+    x = _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
+    assert np.all(np.isfinite(x))
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+def test_illinois_flat_marginals_waterfill():
+    """Segments of equal linear marginals end at once (the bracket is one
+    point) and spread their budget uniformly; a quadratic segment rides along."""
+    obj = ObjectiveSpec(
+        Family.CUSTOM,
+        {},
+        value_fn=lambda i, x: 3.0 * x if i < 7 else (x - 1.0) ** 2,
+        derivative_fn=lambda i, x: 3.0 if i < 7 else 2.0 * (x - 1.0),
+    )
+    lengths = [3, 4, 5]
+    c = np.zeros(12)
+    d = np.full(12, 4.0)
+    x = _assert_matches_bisection(obj, c, d, lengths, [6.0, 10.0, 7.0], 1e-9)
+    assert np.allclose(x[:7], [2, 2, 2, 2.5, 2.5, 2.5, 2.5])
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_illinois_edge_targets_in_one_call(family):
+    """One call mixing segments at their box sum, a rounding step below it,
+    at zero (B = 0 on a floor of zeros), just above the floor, single
+    elements, and ordinary targets."""
+    rng = np.random.Generator(np.random.PCG64(79 + OBJECTIVE_FAMILIES.index(family)))
+    lengths = np.array([6, 1, 9, 30, 1, 4, 250, 12, 3])
+    c, d, targets = _random_boxes(rng, lengths)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    sum_d = np.add.reduceat(d, offsets[:-1])
+    sum_c = np.add.reduceat(c, offsets[:-1])
+    targets[0] = sum_d[0]
+    targets[2] = np.nextafter(sum_d[2], -np.inf)
+    targets[6] = sum_d[6] * (1 - 1e-15)
+    targets[3] = np.nextafter(sum_c[3], np.inf)
+    c[offsets[5] : offsets[6]] = 0.0
+    targets[5] = 0.0
+    obj = random_objective(rng, family, c.size)
+    x = _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
+    assert np.array_equal(x[: offsets[1]], d[: offsets[1]])
+
+
+class _StepCounter(ObjectiveSpec):
+    """Counts `inverse_derivative_at` calls, one per multiplier step plus one
+    per bracket end, and the elements they evaluate."""
+
+    def inverse_derivative_at(self, idx, lam):
+        self.calls[0] += 1
+        self.calls[1] += idx.size
+        return super().inverse_derivative_at(idx, lam)
+
+
+# batch-small's shapes (five families, n = m in {100, 1000}, three seeds) and
+# crashing at n = m = 2e4, whose first feasible draw is seed 1
+STEP_SHAPES = [
+    (family, n, seed)
+    for family in ("f", "f-uniform", "f-active", "crashing", "fuelopt")
+    for n in (100, 1000)
+    for seed in range(3)
+] + [("crashing", 20000, 1)]
+
+
+@pytest.mark.parametrize("family,n,seed", STEP_SHAPES)
+def test_steps_within_four_of_bisection(monkeypatch, family, n, seed):
+    """Every kernel call of a full solve takes at most four steps more than
+    the bisection would on the same inputs, and at crashing 2e4 it evaluates
+    strictly fewer elements in total."""
+    inst = generate_instance(family, n, n, seed)
+    counter = _StepCounter(inst.objective.family, inst.objective.params)
+    object.__setattr__(counter, "calls", [0, 0])
+    inst = dataclasses.replace(inst, objective=counter)
+    rows = []
+
+    def both(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None):
+        counter.calls[:] = [0, 0]
+        _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x)
+        ref = list(counter.calls)
+        counter.calls[:] = [0, 0]
+        x = solve_segments_continuous(obj, idx, lo, hi, offsets, targets, eps_x, deadline)
+        rows.append((ref, list(counter.calls)))
+        return x
+
+    monkeypatch.setattr(solver, "solve_segments_continuous", both)
+    solver.solve(inst, 1e-8)
+    for (ref_calls, _), (calls, _) in rows:
+        assert calls <= ref_calls + 4
+    if n == 20000:
+        assert rows, "the crashing draw must be feasible"
+        assert sum(new[1] for _, new in rows) < sum(ref[1] for ref, _ in rows)

@@ -13,7 +13,6 @@ from nested_alloc import (
     RapProblem,
     SolveTimeout,
     Status,
-    block_feasible_fill,
     brute_force_solve,
     check_feasible,
     generate_instance,
@@ -56,7 +55,6 @@ class TestTighten:
     def test_worked_example(self):
         wb = tighten(tighten_example())
         assert np.array_equal(wb.abar, [0.0, 2.0, 7.0, 9.0])
-        assert np.array_equal(wb.cbar, np.zeros(4))
         assert np.array_equal(wb.dbar, [1.0, 1.0, 5.0, 5.0])
 
     def test_huge_upper_bounds_never_bind(self):
@@ -105,26 +103,6 @@ class TestFeasibility:
         assert not check_feasible(inst, tighten(inst))
         sol, _ = solve(inst, eps=1e-8)
         assert sol.status is Status.INFEASIBLE and sol.x is None
-
-
-class TestBlockFill:
-    def test_unit_capacity(self):
-        inst = NestedInstance(
-            n=2, m=1, s=[2], a=[], B=2.0, lower=np.zeros(2), upper=[1.0, 1.0],
-            objective=quad_spec(2), mode=Mode.INTEGER,
-        )
-        assert block_feasible_fill(inst, tighten(inst), 1).tolist() == [1.0, 1.0]
-
-    def test_greedy_fill(self):
-        inst = NestedInstance(
-            n=2, m=1, s=[2], a=[], B=3.0, lower=np.zeros(2), upper=[5.0, 5.0],
-            objective=quad_spec(2), mode=Mode.INTEGER,
-        )
-        assert block_feasible_fill(inst, tighten(inst), 1).tolist() == [3.0, 0.0]
-
-    def test_worked_example_block_two(self):
-        inst = tighten_example()
-        assert block_feasible_fill(inst, tighten(inst), 2).tolist() == [5.0]
 
 
 class TestSolve:
