@@ -149,6 +149,7 @@ def cmd_solve(args) -> int:
         print(
             f"status={sol.status.value} rap_calls={stats.rap_calls} "
             f"levels={stats.recursion_levels} active={stats.active_constraints} "
+            f"kernel_steps={stats.kernel_steps} kernel_evals={stats.kernel_evals} "
             f"wall_ms={stats.wall_ms:.3f}",
             file=sys.stderr,
         )

@@ -111,6 +111,8 @@ def write_solution(sol: Solution, stats: SolveStats | None = None) -> bytes:
             "recursion_levels": stats.recursion_levels,
             "active_constraints": stats.active_constraints,
             "wall_ms": stats.wall_ms,
+            "kernel_steps": stats.kernel_steps,
+            "kernel_evals": stats.kernel_evals,
         }
     return json.dumps(doc).encode("utf-8")
 

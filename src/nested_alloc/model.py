@@ -5,6 +5,11 @@ an exact total resource B, box bounds lower <= x <= upper, and upper bounds
 a_1 <= ... <= a_{m-1} on the partial sums of x up to a set of m breakpoints
 (the last breakpoint is n and carries the total B). Variables are either all
 integer or all continuous.
+
+Objective families evaluate vectorized over variable indices. For the
+continuous multiplier search, `ObjectiveSpec.inverse_map` gathers a family's
+per-variable constants once and returns x(lam) = (f')^-1(lam) as a function
+of one multiplier per segment; `inverse_derivative_at` is its per-element case.
 """
 
 from __future__ import annotations
@@ -61,6 +66,11 @@ _PARAM_KEYS = {
 
 # Families whose formulas have a pole at x = 0.
 POLE_FAMILIES = (Family.CRASHING, Family.FUELOPT)
+
+
+def _at(v: np.ndarray, seg_of: np.ndarray | None) -> np.ndarray:
+    """Per-segment values spread to elements (per-element values as given)."""
+    return v if seg_of is None else v.take(seg_of)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -187,21 +197,48 @@ class ObjectiveSpec:
 
     def inverse_derivative_at(self, idx: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
         """Solve f'_i(x) = lam for x, unclamped. None if no closed form."""
+        inv = self.inverse_map(idx)
+        return None if inv is None else inv(lam)
+
+    def inverse_map(
+        self, idx: np.ndarray
+    ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None:
+        """Unclamped x_k(lam) = (f'_{idx[k]})^-1(lam), constants gathered once.
+
+        The returned `inv(lam, seg_of=None)` takes one multiplier per segment
+        and evaluates element k at lam[seg_of[k]] (at lam[k] when seg_of is
+        None). Work that depends on lam alone runs on the per-segment array,
+        which leaves a gather and one or two arithmetic operations per
+        element. The pole families give +inf for lam >= 0 and 0 at
+        lam = -inf. None for CUSTOM, which has no closed form.
+        """
         fam = self.family
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if fam is Family.F:
-                return np.cbrt(lam - self.params["p"][idx])
-            if fam is Family.CRASHING:
-                p = self.params["p"][idx]
-                return np.where(lam < 0, np.sqrt(p / np.where(lam < 0, -lam, 1.0)), np.inf)
-            if fam is Family.FUELOPT:
-                p, c = self.params["p"][idx], self.params["c"][idx]
-                num = 3.0 * p * c**4
-                return np.where(lam < 0, (num / np.where(lam < 0, -lam, 1.0)) ** 0.25, np.inf)
-            if fam is Family.QUADRATIC:
-                w, t = self.params["w"][idx], self.params["t"][idx]
-                return t + lam / (2.0 * w)
-        return None
+        if fam is Family.CUSTOM:
+            return None
+        if fam is Family.F:
+            p = self.params["p"][idx]
+            return lambda lam, seg_of=None: np.cbrt(_at(lam, seg_of) - p)
+        if fam is Family.QUADRATIC:
+            t = self.params["t"][idx]
+            two_w = 2.0 * self.params["w"][idx]
+            return lambda lam, seg_of=None: t + _at(lam, seg_of) / two_w
+        if fam is Family.CRASHING:
+            p = self.params["p"][idx]
+
+            def inv(lam, seg_of=None):  # x = sqrt(p / -lam)
+                with np.errstate(divide="ignore"):
+                    x = p / _at(np.maximum(-lam, 0.0), seg_of)
+                return np.sqrt(x, out=x)
+
+            return inv
+        p, c = self.params["p"][idx], self.params["c"][idx]
+        g = (3.0 * p * c**4) ** 0.25
+
+        def inv(lam, seg_of=None):  # x = (3 p c^4 / -lam)^(1/4)
+            with np.errstate(divide="ignore"):
+                return g / _at(np.sqrt(np.sqrt(np.maximum(-lam, 0.0))), seg_of)
+
+        return inv
 
 
 def _is_integral(a: np.ndarray) -> bool:
@@ -333,10 +370,20 @@ class Solution:
 
 @dataclass
 class SolveStats:
+    """Counts of one solve.
+
+    `kernel_steps` sums the multiplier steps of every RAP kernel call.
+    `kernel_evals` counts per-element objective evaluations inside the
+    kernels: x(lam) evaluations plus the bracket's derivatives in continuous
+    mode, unit marginals in integer mode.
+    """
+
     rap_calls: int = 0
     recursion_levels: int = 0
     active_constraints: int = 0
     wall_ms: float = 0.0
+    kernel_steps: int = 0
+    kernel_evals: int = 0
 
 
 def objective_value(inst: NestedInstance, x: np.ndarray) -> float:

@@ -13,7 +13,13 @@ twice in a row is halved (Illinois). It takes the midpoint instead when that
 point leaves the open bracket or is not finite, or when the bracket is wider
 than four times what plain bisection would have left after as many steps, so
 no bracket ever falls more than three halvings behind bisection. Calls too
-small for the interpolation to pay for its bookkeeping bisect. The integer
+small for the interpolation to pay for its bookkeeping bisect. Both bracket
+ends and every step evaluate x(lam) through the objective's inverse map
+(`ObjectiveSpec.inverse_map`), built once per call and again after each
+compaction, so per-variable constants are gathered once and the work that
+depends on lam alone runs per segment; CUSTOM objectives, which have no map,
+invert f' by inner bisection. A search that still has open segments after
+`max_iter` steps raises instead of returning an unconverged point. The integer
 kernel runs the same search over unit marginal costs f_i(t) - f_i(t-1). It
 keeps the unit allocations at both bracket ends, so each step searches only
 between them, and stops once they differ by at most one unit per element (or
@@ -23,7 +29,9 @@ with the same tie-break is kept as an independent oracle.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
-indices of the owning objective.
+indices of the owning objective. Given a `SolveStats`, a kernel adds its
+multiplier steps to `kernel_steps` and its per-element objective evaluations
+to `kernel_evals`.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ObjectiveSpec
+from .model import ObjectiveSpec, SolveStats
 
 
 class SolveTimeout(RuntimeError):
@@ -121,9 +129,11 @@ def _bisect_inverse(obj, idx, lam_e, lo, hi, iters: int = 80):
     return a
 
 
-def _bracket_segments(obj, idx, lo, hi, offsets, targets):
+def _bracket_segments(obj, idx, lo, hi, offsets, targets, stats=None):
+    stats = SolveStats() if stats is None else stats
     starts = offsets[:-1]
     free = hi > lo
+    stats.kernel_evals += 2 * idx.size
     with np.errstate(divide="ignore", invalid="ignore"):
         d_lo = obj.derivative_at(idx, lo)
         d_hi = obj.derivative_at(idx, hi)
@@ -141,6 +151,7 @@ def _bracket_segments(obj, idx, lo, hi, offsets, targets):
         share = np.where(cap > 0, resid / np.where(cap > 0, cap, 1.0), 0.0)
         x_f = lo + room * share[seg_of]
         d_f = obj.derivative_at(idx, x_f)
+        stats.kernel_evals += idx.size
         lam_lo = np.where(bad, np.minimum.reduceat(np.where(free, d_f, np.inf), starts), lam_lo)
         lam_hi = np.where(bad, np.maximum.reduceat(np.where(free, d_f, -np.inf), starts), lam_hi)
     return lam_lo, lam_hi
@@ -184,14 +195,20 @@ def solve_segments_continuous(
     targets: np.ndarray,
     eps_x: float,
     deadline: float | None = None,
+    stats: SolveStats | None = None,
     max_iter: int = 2400,  # above the float-lattice halving depth plus the
     # budget's three halvings, so the adjacent-value detector is what
     # actually ends pathological brackets
 ) -> np.ndarray:
-    """Solve every segment to per-coordinate accuracy eps_x with exact sums."""
+    """Solve every segment to per-coordinate accuracy eps_x with exact sums.
+
+    Raises RuntimeError if segments are still open after max_iter steps.
+    """
     x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
     if not open_seg.any():
         return x_out
+    if stats is None:
+        stats = SolveStats()
 
     # compact the open segments
     seg_ids = np.flatnonzero(open_seg)
@@ -203,11 +220,21 @@ def solve_segments_continuous(
     seg_off = np.concatenate([[0], np.cumsum(lengths)])
     seg_tgt = targets[seg_ids]
     seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
+    inv = obj.inverse_map(e_idx)
 
-    lam_lo, lam_hi = _bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)
+    def x_at(lam):
+        """Clamped x(lam) of every open element, lam given per segment."""
+        stats.kernel_evals += e_idx.size
+        if inv is None:  # custom objective: invert f' by inner bisection
+            return _clamped_inverse(obj, e_idx, lam[seg_of], e_lo, e_hi)
+        x = inv(lam, seg_of)
+        np.maximum(x, e_lo, out=x)
+        return np.minimum(x, e_hi, out=x)
+
+    lam_lo, lam_hi = _bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats)
     # allocations at the bracket ends, kept in step with every move of an end
-    x_l = _clamped_inverse(obj, e_idx, lam_lo[seg_of], e_lo, e_hi)
-    x_h = _clamped_inverse(obj, e_idx, lam_hi[seg_of], e_lo, e_hi)
+    x_l = x_at(lam_lo)
+    x_h = x_at(lam_hi)
     illinois = e_idx.size >= _ILLINOIS_MIN_ELEMENTS + _ILLINOIS_ELEMENTS_PER_SEGMENT * seg_ids.size
     if illinois:
         # excess sum - target at each bracket end, and the bracket width the
@@ -250,7 +277,7 @@ def solve_segments_continuous(
                 ok = (prop > lam_lo) & (prop < lam_hi) & (width <= max_width)
                 np.copyto(lam, prop, where=ok)
                 max_width *= 0.5
-            xm = _clamped_inverse(obj, e_idx, lam[seg_of], e_lo, e_hi)
+            xm = x_at(lam)
             f = np.add.reduceat(xm, seg_off[:-1]) - seg_tgt
             live = ~stuck
             move_hi = (f >= 0.0) & live
@@ -272,11 +299,18 @@ def solve_segments_continuous(
             it += 1
             if it % 8 == 0:
                 _check_deadline(deadline)
-            done = (np.maximum.reduceat(x_h - x_l, seg_off[:-1]) <= eps_x) | stuck
-            n_done = np.count_nonzero(done) if it < max_iter else len(seg_ids)
+            gap = np.maximum.reduceat(x_h - x_l, seg_off[:-1])
+            done = (gap <= eps_x) | stuck
+            n_done = np.count_nonzero(done)
             if n_done == len(seg_ids):
                 finalize(np.ones(len(seg_ids), dtype=bool))
+                stats.kernel_steps += it
                 return x_out
+            if it >= max_iter:
+                raise RuntimeError(
+                    f"multiplier search left {len(seg_ids) - n_done} segments open after "
+                    f"{it} steps; widest x-gap {float(gap[~done].max())} > eps_x {eps_x}"
+                )
             if n_done * 2 >= len(seg_ids):
                 # retire finished segments and compact the working set
                 finalize(done)
@@ -293,6 +327,7 @@ def solve_segments_continuous(
                 seg_off = np.concatenate([[0], np.cumsum(lengths)])
                 seg_tgt = seg_tgt[keep]
                 seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
+                inv = obj.inverse_map(e_idx)
                 lam_lo = lam_lo[keep]
                 lam_hi = lam_hi[keep]
                 if illinois:
@@ -321,12 +356,13 @@ def _waterfill(x, hi, offsets, leftover, which):
     return x
 
 
-def _unit_marginal(obj, idx, t):
+def _unit_marginal(obj, idx, t, stats):
     """Cost of unit t: f(t) - f(t - 1), as the heap greedy prices it."""
+    stats.kernel_evals += idx.size
     return obj.value_at(idx, t) - obj.value_at(idx, t - 1.0)
 
 
-def _int_alloc(obj, idx, tl, th, lam_e):
+def _int_alloc(obj, idx, tl, th, lam_e, stats):
     """Largest integer t in [tl, th] whose unit marginal stays <= lam, given
     that unit tl already qualifies (or is the box floor). Converged elements
     drop out of the halving, so each step evaluates only the open ones."""
@@ -336,7 +372,7 @@ def _int_alloc(obj, idx, tl, th, lam_e):
     while k.size:
         a, b, i = tl[k], th[k], idx[k]
         tm = np.floor((a + b + 1.0) * 0.5)
-        ok = _unit_marginal(obj, i, tm) <= lam_e[k]
+        ok = _unit_marginal(obj, i, tm, stats) <= lam_e[k]
         tl[k] = np.where(ok, tm, a)
         th[k] = np.where(ok, b, tm - 1.0)
         k = k[tl[k] < th[k]]
@@ -351,6 +387,7 @@ def solve_segments_integer(
     offsets: np.ndarray,
     targets: np.ndarray,
     deadline: float | None = None,
+    stats: SolveStats | None = None,
 ) -> np.ndarray:
     """Exact integer optimum per segment, greedy-equivalent tie-breaking.
 
@@ -365,6 +402,8 @@ def solve_segments_integer(
     x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
     if not open_seg.any():
         return x_out
+    if stats is None:
+        stats = SolveStats()
 
     seg_ids = np.flatnonzero(open_seg)
     out_pos = _concat_ranges(offsets[:-1][seg_ids], offsets[1:][seg_ids])
@@ -378,8 +417,8 @@ def solve_segments_integer(
     starts = seg_off[:-1]
 
     free = e_hi > e_lo
-    first = _unit_marginal(obj, e_idx, e_lo + 1.0)
-    last = _unit_marginal(obj, e_idx, e_hi)
+    first = _unit_marginal(obj, e_idx, e_lo + 1.0, stats)
+    last = _unit_marginal(obj, e_idx, e_hi, stats)
     # x(lam_lo) = e_lo and x(lam_hi) = e_hi without evaluating anything
     lam_lo = np.nextafter(np.minimum.reduceat(np.where(free, first, np.inf), starts), -np.inf)
     lam_hi = np.maximum.reduceat(np.where(free, last, -np.inf), starts)
@@ -395,7 +434,7 @@ def solve_segments_integer(
             break
         work = np.flatnonzero(live[seg_of] & (x_h > x_l))
         xm = x_l.copy()
-        xm[work] = _int_alloc(obj, e_idx[work], x_l[work], x_h[work], lam[seg_of[work]])
+        xm[work] = _int_alloc(obj, e_idx[work], x_l[work], x_h[work], lam[seg_of[work]], stats)
         ge = np.add.reduceat(xm, starts) >= seg_tgt
         move_hi = live & ge
         move_lo = live & ~ge
@@ -406,11 +445,12 @@ def solve_segments_integer(
         it += 1
         if it % 4 == 0:
             _check_deadline(deadline)
+    stats.kernel_steps += it
 
     gaps = x_h - x_l
     cand = np.flatnonzero(gaps > 0)
     marg = np.full(gaps.shape, np.inf)
-    marg[cand] = _unit_marginal(obj, e_idx[cand], x_l[cand] + 1.0)
+    marg[cand] = _unit_marginal(obj, e_idx[cand], x_l[cand] + 1.0, stats)
     order = np.lexsort((marg, seg_of))  # stable: equal marginals keep index order
     resid = seg_tgt - np.add.reduceat(x_l, starts)
     x = np.empty_like(x_l)

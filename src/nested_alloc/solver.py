@@ -170,11 +170,11 @@ def solve(
         box_lo, box_hi = cb[e_idx], db[e_idx]
         if inst.mode is Mode.CONTINUOUS:
             vals = solve_segments_continuous(
-                inst.objective, e_idx, box_lo, box_hi, offsets, targets, eps_sub, deadline
+                inst.objective, e_idx, box_lo, box_hi, offsets, targets, eps_sub, deadline, stats
             )
         else:
             vals = solve_segments_integer(
-                inst.objective, e_idx, box_lo, box_hi, offsets, targets, deadline
+                inst.objective, e_idx, box_lo, box_hi, offsets, targets, deadline, stats
             )
         inside = (vals >= box_lo - 1e-9) & (vals <= box_hi + 1e-9)
         if not inside.all():  # NaN counts as outside, and as the worst

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nested_alloc import read_instance, read_solution
+from nested_alloc import read_instance, read_solution, solve
 from nested_alloc.cli import main
 
 
@@ -62,6 +62,21 @@ class TestSolve:
         stats = json.loads(out.read_bytes())["stats"]
         assert stats["active_constraints"] == 1
         assert stats["rap_calls"] == 3
+
+    @pytest.mark.parametrize("mode", ["cont", "int"])
+    def test_stats_carry_kernel_counters(self, tmp_path, capsys, mode):
+        inst_path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+        assert run(["gen", "--family", "fuelopt", "--n", 200, "--m", 200, "--seed", 2,
+                    "--mode", mode, "--scale", 1000, "--out", inst_path]) == 0
+        assert run(["solve", inst_path, "--epsilon", 1e-8, "--out", out, "--stats"]) == 0
+        stats = json.loads(out.read_bytes())["stats"]
+        _, expected = solve(read_instance(inst_path.read_bytes()),
+                            eps=1e-8 if mode == "cont" else None)
+        assert stats["kernel_steps"] == expected.kernel_steps > 0
+        assert stats["kernel_evals"] == expected.kernel_evals > 0
+        line = capsys.readouterr().err
+        assert f"kernel_steps={expected.kernel_steps} " in line
+        assert f"kernel_evals={expected.kernel_evals} " in line
 
     def test_infeasible_exit_code(self, tmp_path):
         doc = {

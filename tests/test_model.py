@@ -12,6 +12,7 @@ from nested_alloc import (
     ValidationError,
     objective_value,
 )
+from nested_alloc import rap
 
 from conftest import OBJECTIVE_FAMILIES, random_objective
 
@@ -107,6 +108,95 @@ class TestDerivativeConsistency:
             f1, f2, f3 = (spec.value(i, float(v)) for v in (x1, x2, x3))
             chord = f1 + (f3 - f1) * (x2 - x1) / (x3 - x1)
             assert f2 <= chord + 1e-9 * (1 + abs(chord))
+
+
+def _parent_inverse(spec, idx, lam):
+    """`inverse_derivative_at` as it was before inverse maps, kept verbatim
+    as the reference for the map formulas."""
+    fam = spec.family
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if fam is Family.F:
+            return np.cbrt(lam - spec.params["p"][idx])
+        if fam is Family.CRASHING:
+            p = spec.params["p"][idx]
+            return np.where(lam < 0, np.sqrt(p / np.where(lam < 0, -lam, 1.0)), np.inf)
+        if fam is Family.FUELOPT:
+            p, c = spec.params["p"][idx], spec.params["c"][idx]
+            num = 3.0 * p * c**4
+            return np.where(lam < 0, (num / np.where(lam < 0, -lam, 1.0)) ** 0.25, np.inf)
+        if fam is Family.QUADRATIC:
+            w, t = spec.params["w"][idx], spec.params["t"][idx]
+            return t + lam / (2.0 * w)
+    return None
+
+
+def _segment_multipliers(rng, family, n_seg):
+    """Multipliers with finite, positive-room inverses: negative for the pole
+    families, and clear of the cancellation f'(x) = x^3 + p or 2w(x - t)
+    suffers when lam is tiny against the parameters."""
+    mag = np.exp(rng.uniform(-3.0, 3.0, n_seg))
+    if family in (Family.CRASHING, Family.FUELOPT):
+        return -mag
+    if family is Family.F:
+        return 2.0 + mag
+    return np.where(rng.random(n_seg) < 0.5, -1.0, 1.0) * (1.0 + mag)
+
+
+class TestInverseMap:
+    N = 300
+
+    def _case(self, rng, family):
+        spec = random_objective(rng, family, self.N)
+        idx = rng.permutation(self.N)[:200]
+        seg_of = np.sort(rng.integers(0, 37, idx.size))
+        return spec, idx, _segment_multipliers(rng, family, 37), seg_of
+
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_map_is_per_element_inverse_bit_for_bit(self, family, rng):
+        spec, idx, lam, seg_of = self._case(rng, family)
+        x = spec.inverse_map(idx)(lam, seg_of)
+        assert np.array_equal(x, spec.inverse_derivative_at(idx, lam[seg_of]))
+
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_map_matches_previous_formulas(self, family, rng):
+        spec, idx, lam, seg_of = self._case(rng, family)
+        x = spec.inverse_map(idx)(lam, seg_of)
+        ref = _parent_inverse(spec, idx, lam[seg_of])
+        assert np.all(np.abs(x - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_derivative_gives_back_the_multiplier(self, family, rng):
+        spec, idx, lam, seg_of = self._case(rng, family)
+        x = spec.inverse_map(idx)(lam, seg_of)
+        back = spec.derivative_at(idx, x)
+        assert np.all(np.abs(back - lam[seg_of]) <= 1e-12 * np.abs(lam[seg_of]))
+
+    @pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])
+    def test_pole_families_at_the_ends(self, family, rng):
+        spec = random_objective(rng, family, 5)
+        idx = np.arange(5)
+        lam = np.array([0.0, -0.0, 2.5, np.inf, -np.inf])
+        expected = [np.inf, np.inf, np.inf, np.inf, 0.0]
+        assert np.array_equal(spec.inverse_map(idx)(lam, idx), expected)
+        assert np.array_equal(spec.inverse_derivative_at(idx, lam), expected)
+
+    def test_custom_has_no_map_and_still_solves(self, monkeypatch):
+        spec = ObjectiveSpec(
+            Family.CUSTOM, {},
+            value_fn=lambda i, x: (x - 1.0) ** 2, derivative_fn=lambda i, x: 2.0 * (x - 1.0),
+        )
+        assert spec.inverse_map(np.arange(3)) is None
+        assert spec.inverse_derivative_at(np.arange(3), np.zeros(3)) is None
+        calls = []
+        bisect = rap._bisect_inverse
+        monkeypatch.setattr(
+            rap, "_bisect_inverse", lambda *args: calls.append(1) or bisect(*args)
+        )
+        c, d = np.zeros(3), np.full(3, 4.0)
+        x = rap.solve_segments_continuous(
+            spec, np.arange(3), c, d, np.array([0, 3]), np.array([6.0]), 1e-9
+        )
+        assert calls and np.allclose(x, [2.0, 2.0, 2.0], atol=1e-8)
 
 
 class TestValidation:

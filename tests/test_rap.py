@@ -564,14 +564,41 @@ def test_illinois_edge_targets_in_one_call(family):
     assert np.array_equal(x[: offsets[1]], d[: offsets[1]])
 
 
-class _StepCounter(ObjectiveSpec):
-    """Counts `inverse_derivative_at` calls, one per multiplier step plus one
-    per bracket end, and the elements they evaluate."""
+@pytest.mark.parametrize("illinois", [False, True])
+def test_exhausted_search_raises(monkeypatch, illinois):
+    """A search cut off by max_iter with segments still open raises rather
+    than finalizing a point with no eps guarantee."""
+    if illinois:
+        monkeypatch.setattr(rap_module, "_ILLINOIS_MIN_ELEMENTS", 0)
+        monkeypatch.setattr(rap_module, "_ILLINOIS_ELEMENTS_PER_SEGMENT", 0)
+    rng = np.random.Generator(np.random.PCG64(81))
+    lengths = [1, 40, 7, 150]
+    c, d, targets = _random_boxes(rng, lengths)
+    obj = random_objective(rng, Family.CRASHING, c.size)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    idx = np.arange(c.size)
+    with pytest.raises(RuntimeError, match=r"left 3 segments open after 3 steps; widest x-gap"):
+        solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9, max_iter=3)
+    x = solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9)
+    assert np.all((x >= c) & (x <= d))
 
-    def inverse_derivative_at(self, idx, lam):
-        self.calls[0] += 1
-        self.calls[1] += idx.size
-        return super().inverse_derivative_at(idx, lam)
+
+class _StepCounter(ObjectiveSpec):
+    """Counts calls of the maps `inverse_map` hands out, one per multiplier
+    step plus one per bracket end, and the elements they evaluate. The
+    bisection reference reaches the same maps through
+    `inverse_derivative_at`, so both kernels are counted alike."""
+
+    def inverse_map(self, idx):
+        inv = super().inverse_map(idx)
+        calls = self.calls
+
+        def counted(lam, seg_of=None):
+            calls[0] += 1
+            calls[1] += np.size(lam) if seg_of is None else seg_of.size
+            return inv(lam, seg_of)
+
+        return counted
 
 
 # batch-small's shapes (five families, n = m in {100, 1000}, three seeds) and
@@ -595,18 +622,21 @@ def test_steps_within_four_of_bisection(monkeypatch, family, n, seed):
     inst = dataclasses.replace(inst, objective=counter)
     rows = []
 
-    def both(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None):
+    def both(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, stats=None):
         counter.calls[:] = [0, 0]
         _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x)
         ref = list(counter.calls)
         counter.calls[:] = [0, 0]
-        x = solve_segments_continuous(obj, idx, lo, hi, offsets, targets, eps_x, deadline)
-        rows.append((ref, list(counter.calls)))
+        x = solve_segments_continuous(obj, idx, lo, hi, offsets, targets, eps_x, deadline, stats)
+        if _fast_paths(lo, hi, offsets, targets)[1].any():
+            rows.append((ref, list(counter.calls)))
         return x
 
     monkeypatch.setattr(solver, "solve_segments_continuous", both)
     solver.solve(inst, 1e-8)
-    for (ref_calls, _), (calls, _) in rows:
+    for (ref_calls, ref_elems), (calls, elems) in rows:
+        # a call with an open segment evaluates both bracket ends at least
+        assert calls >= 2 and elems > 0 and ref_calls >= 2 and ref_elems > 0
         assert calls <= ref_calls + 4
     if n == 20000:
         assert rows, "the crashing draw must be feasible"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from nested_alloc import (
     tighten,
 )
 
+from nested_alloc import rap as rap_module
 from nested_alloc import solver as solver_mod
 from nested_alloc.cli import _scaled_integer_instance
 
@@ -261,6 +263,84 @@ def test_kernel_output_outside_box_raises(monkeypatch):
     message = r"depth 1: x\[1\] = 4.0 lies outside \[0.0, 3.0\] by 1.0"
     with pytest.raises(RuntimeError, match=message):
         solve(quad_example(Mode.INTEGER))
+
+
+class _EvalCounter(ObjectiveSpec):
+    """Counts per-element evaluations while `on`: x(lam) elements of the
+    maps `inverse_map` hands out, derivative elements, and value elements
+    (a unit marginal takes two)."""
+
+    def inverse_map(self, idx):
+        inv = super().inverse_map(idx)
+
+        def counted(lam, seg_of=None):
+            if self.on[0]:
+                self.counts["inverse_calls"] += 1
+                self.counts["inverse"] += np.size(lam) if seg_of is None else seg_of.size
+            return inv(lam, seg_of)
+
+        return counted
+
+    def derivative_at(self, idx, x):
+        if self.on[0]:
+            self.counts["derivative"] += idx.size
+        return super().derivative_at(idx, x)
+
+    def value_at(self, idx, x):
+        if self.on[0]:
+            self.counts["value"] += idx.size
+        return super().value_at(idx, x)
+
+
+@pytest.mark.parametrize("mode", ["cont", "int"])
+def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
+    """`SolveStats.kernel_steps` and `kernel_evals` equal what a counting
+    objective sees inside the kernels: map calls less the two bracket ends
+    per call with open segments (continuous) or `_int_alloc` calls (integer)
+    for the steps; map plus derivative elements, or value elements over two,
+    for the evaluations."""
+    inst = generate_instance("crashing", 300, 300, 4)
+    if mode == "int":
+        inst = _scaled_integer_instance(inst, 1e6)
+    counter = _EvalCounter(inst.objective.family, inst.objective.params)
+    object.__setattr__(counter, "on", [False])
+    kinds = ("inverse_calls", "inverse", "derivative", "value")
+    object.__setattr__(counter, "counts", dict.fromkeys(kinds, 0))
+    inst = dataclasses.replace(inst, objective=counter)
+    open_calls = [0]
+    alloc_calls = [0]
+
+    def counting(kernel):
+        def wrapped(obj, idx, lo, hi, offsets, targets, *args):
+            open_calls[0] += bool(rap_module._fast_paths(lo, hi, offsets, targets)[1].any())
+            counter.on[0] = True
+            try:
+                return kernel(obj, idx, lo, hi, offsets, targets, *args)
+            finally:
+                counter.on[0] = False
+
+        return wrapped
+
+    def int_alloc(*args):
+        alloc_calls[0] += 1
+        return real_int_alloc(*args)
+
+    real_int_alloc = rap_module._int_alloc
+    monkeypatch.setattr(rap_module, "_int_alloc", int_alloc)
+    for name in ("solve_segments_continuous", "solve_segments_integer"):
+        monkeypatch.setattr(solver_mod, name, counting(getattr(solver_mod, name)))
+    sol, stats = solve(inst, 1e-8 if mode == "cont" else None)
+    assert sol.status is Status.OPTIMAL
+    counts = counter.counts
+    if mode == "cont":
+        assert open_calls[0] > 0 and counts["value"] == 0
+        assert stats.kernel_steps == counts["inverse_calls"] - 2 * open_calls[0] > 0
+        assert stats.kernel_evals == counts["inverse"] + counts["derivative"]
+        assert counts["inverse"] > counts["derivative"] > 0
+    else:
+        assert counts["inverse_calls"] == counts["derivative"] == 0
+        assert stats.kernel_steps == alloc_calls[0] > 0
+        assert stats.kernel_evals * 2 == counts["value"] > 0
 
 
 class TestUnboundedBoxes:
