@@ -4,8 +4,7 @@ Exit codes: 0 success/optimal, 1 usage or validation error, 2 infeasible
 instance, 3 failed verification. Benchmark timing covers the solve call only;
 each benchmark row also says whether its solution passed `verify`;
 per-trial seeds are base_seed + trial so any CSV row can be regenerated with
-`gen` + `solve`. NESTED_ALLOC_THREADS caps how many trials of a benchmark
-cell run concurrently (default 1).
+`gen` + `solve`.
 """
 
 from __future__ import annotations
@@ -13,10 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,7 +231,6 @@ def cmd_bench(args) -> int:
             cfg.output = args.out
     except (OSError, ValidationError, TypeError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    threads = max(1, int(os.environ.get("NESTED_ALLOC_THREADS", "1")))
     out = Path(cfg.output)
     wrote = 0
     with out.open("w", newline="") as fh:
@@ -246,16 +242,7 @@ def cmd_bench(args) -> int:
                     for m in cfg.m_list if cfg.m_list is not None else [n]:
                         if m > n:
                             continue
-                        if threads > 1:
-                            with ThreadPoolExecutor(max_workers=threads) as pool:
-                                rows = list(
-                                    pool.map(
-                                        lambda t: _bench_cell(cfg, family, n, m, t),
-                                        range(cfg.trials),
-                                    )
-                                )
-                        else:
-                            rows = [_bench_cell(cfg, family, n, m, t) for t in range(cfg.trials)]
+                        rows = [_bench_cell(cfg, family, n, m, t) for t in range(cfg.trials)]
                         for row in rows:
                             writer.writerow(row)
                             wrote += 1

@@ -72,11 +72,6 @@ class HullInstance:
     points_y: np.ndarray  # ordinates 0, a_1, ..., a_{m-1}, B
     instance: NestedInstance
 
-    @property
-    def family(self) -> Family:
-        """Shape tag that established eligibility."""
-        return self.instance.objective.family
-
 
 def build_hull_instance(inst: NestedInstance) -> HullInstance:
     gamma = scale_parameters(inst)
@@ -143,11 +138,6 @@ def hull_solve(hi: HullInstance) -> Solution:
 
 def hull_solve_instance(inst: NestedInstance) -> Solution:
     return hull_solve(build_hull_instance(inst))
-
-
-def hull_vertex_count(hi: HullInstance) -> int:
-    """Interior vertices of the lower hull = active partial-sum bounds."""
-    return int(lower_hull_vertices(hi.points_x, hi.points_y).size - 2)
 
 
 def lifted_crashing_instance(n: int, seed: int) -> NestedInstance:

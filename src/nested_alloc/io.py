@@ -12,6 +12,7 @@ numbers keep full precision via shortest-roundtrip floats):
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -59,14 +60,26 @@ def _require(doc: dict, key: str, kinds, where: str = "instance") -> Any:
     return val
 
 
-def read_instance(data: bytes | str) -> NestedInstance:
-    """Parse and fully validate an instance JSON document."""
+def _load_object(data: bytes | str) -> dict:
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ValidationError("json", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("json", "top level must be an object")
+    return doc
+
+
+def _optional_number(doc: dict, key: str) -> float | None:
+    val = doc.get(key)
+    if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
+        raise ValidationError(key, f"expected a number or null, got {type(val).__name__}")
+    return val
+
+
+def read_instance(data: bytes | str) -> NestedInstance:
+    """Parse and fully validate an instance JSON document."""
+    doc = _load_object(data)
     n = _require(doc, "n", int)
     m = _require(doc, "m", int)
     s = _require(doc, "s", list)
@@ -118,14 +131,29 @@ def write_solution(sol: Solution, stats: SolveStats | None = None) -> bytes:
 
 
 def read_solution(data: bytes | str) -> Solution:
-    doc = json.loads(data)
-    status = Status(_require(doc, "status", str, where="solution"))
+    """Parse and validate a solution JSON document: `x` is null or a flat
+    list of numbers, `objective` and `epsilon` are numbers or null."""
+    doc = _load_object(data)
+    tag = _require(doc, "status", str, where="solution")
+    try:
+        status = Status(tag)
+    except ValueError:
+        raise ValidationError("status", f"unknown status {tag!r}") from None
     x = doc.get("x")
+    if x is not None:
+        try:
+            x = np.asarray(x) if isinstance(x, list) else None
+        except ValueError:  # ragged nesting
+            x = None
+        if x is None or x.ndim != 1 or x.dtype.kind not in "iuf":
+            raise ValidationError("x", "expected null or a flat list of numbers")
+        x = x.astype(np.float64, copy=False)
     if status is Status.OPTIMAL and x is None:
         raise ValidationError("x", "optimal solution must carry an allocation")
+    objective = _optional_number(doc, "objective")
     return Solution(
-        x=None if x is None else np.asarray(x, dtype=np.float64),
-        objective=float(doc["objective"]) if doc.get("objective") is not None else float("nan"),
+        x=x,
+        objective=math.nan if objective is None else float(objective),
         status=status,
-        epsilon=doc.get("epsilon"),
+        epsilon=_optional_number(doc, "epsilon"),
     )

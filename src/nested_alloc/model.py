@@ -330,10 +330,6 @@ class NestedInstance:
         [positions[j-1], positions[j]) as 0-based half-open ranges."""
         return np.concatenate([[0], self.s])
 
-    def block_of(self, i: int) -> int:
-        """1-based block index of 0-based variable i."""
-        return int(np.searchsorted(self.s, i + 1, side="left")) + 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NestedInstance):
             return NotImplemented

@@ -1,5 +1,6 @@
 """Independent correctness machinery: greedy and brute-force integer solvers,
-first-order optimality verification, active-constraint counting.
+a heap greedy for one box-constrained RAP, first-order optimality
+verification, active-constraint counting.
 
 The greedy solver allocates one unit at a time to the variable with the
 cheapest marginal cost among those that can still be incremented without
@@ -116,6 +117,38 @@ def brute_force_solve(inst: NestedInstance, max_n: int = 12, max_b: int = 40) ->
         else:  # pragma: no cover - DP table guarantees a witness
             raise AssertionError("reconstruction failed")
     return Solution(x, objective_value(inst, x), Status.OPTIMAL)
+
+
+def rap_integer_greedy(objective, idx, c, d, target) -> np.ndarray:
+    """Integer optimum of one RAP (sum x = target, c <= x <= d over the
+    variables `idx` of `objective`) by a heap greedy: one unit at a time to
+    the cheapest marginal, lowest position on ties. `solve_segments_integer`
+    must return this allocation bit for bit."""
+    x = np.array(c, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    for name, arr in (("c", x), ("d", d)):
+        if not np.all(arr == np.floor(arr)):
+            raise ValueError(f"integer RAP needs integral {name}")
+    if target != math.floor(target):
+        raise ValueError("integer RAP needs an integral target")
+    remaining = int(round(target - x.sum()))
+    heap = []
+
+    def push(j):
+        if x[j] < d[j]:
+            i = int(idx[j])
+            heapq.heappush(heap, (objective.value(i, x[j] + 1.0) - objective.value(i, x[j]), j))
+
+    for j in range(x.size):
+        push(j)
+    while remaining > 0 and heap:
+        _, j = heapq.heappop(heap)
+        x[j] += 1.0
+        remaining -= 1
+        push(j)
+    if remaining > 0:
+        raise ValueError("infeasible RAP: box capacity exhausted")
+    return x
 
 
 @dataclass

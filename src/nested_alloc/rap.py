@@ -24,21 +24,22 @@ kernel runs the same search over unit marginal costs f_i(t) - f_i(t-1). It
 keeps the unit allocations at both bracket ends, so each step searches only
 between them, and stops once they differ by at most one unit per element (or
 the bracket ends are adjacent doubles). The few residual units then go out in
-greedy order, ascending marginal with the lowest index first; a heap greedy
-with the same tie-break is kept as an independent oracle.
+greedy order, ascending marginal with the lowest index first, the order in
+which the heap greedy oracle `oracles.rap_integer_greedy` hands them out one at
+a time.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
-indices of the owning objective. Given a `SolveStats`, a kernel adds its
-multiplier steps to `kernel_steps` and its per-element objective evaluations
-to `kernel_evals`.
+indices of the owning objective. Both kernels gather their open segments into
+compact arrays with `_select_segments`, and the continuous kernel uses it again
+to finish converged segments and to drop them from the working set. Given a
+`SolveStats`, a kernel adds its multiplier steps to `kernel_steps` and its
+per-element objective evaluations to `kernel_evals`.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +49,6 @@ from .model import ObjectiveSpec, SolveStats
 class SolveTimeout(RuntimeError):
     """Cooperative time-limit cutoff raised from inside a kernel loop."""
 
-
-_FEAS_SLACK = 1e-9
 
 # When the continuous kernel interpolates. An Illinois step costs about 10 us
 # of extra NumPy calls plus 18 ns per open segment (2 cores, NumPy 2.4), and
@@ -62,35 +61,6 @@ _ILLINOIS_MIN_ELEMENTS = 2000
 _ILLINOIS_ELEMENTS_PER_SEGMENT = 4
 
 
-@dataclass(frozen=True)
-class RapProblem:
-    """One RAP: objective view, variable indices, working box, target sum."""
-
-    objective: ObjectiveSpec
-    indices: np.ndarray
-    c_hat: np.ndarray
-    d_hat: np.ndarray
-    target: float
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        c = np.ascontiguousarray(self.c_hat, dtype=np.float64)
-        d = np.ascontiguousarray(self.d_hat, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "c_hat", c)
-        object.__setattr__(self, "d_hat", d)
-        object.__setattr__(self, "target", float(self.target))
-        if idx.size == 0:
-            raise ValueError("empty RAP")
-        if np.any(c > d):
-            raise ValueError("need c_hat <= d_hat")
-        slack = _FEAS_SLACK * (1.0 + abs(self.target))
-        if not (c.sum() - slack <= self.target <= d.sum() + slack):
-            raise ValueError(
-                f"infeasible RAP: sum bounds [{c.sum()}, {d.sum()}] exclude target {self.target}"
-            )
-
-
 def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenated aranges [starts[k], ends[k]) without a Python loop."""
     lengths = ends - starts
@@ -99,6 +69,21 @@ def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     base = np.repeat(starts - np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths)
     return np.arange(total, dtype=np.int64) + base
+
+
+def _select_segments(keep, offsets, *arrays):
+    """Compact the segments flagged in `keep` out of a segmented layout.
+
+    Returns the kept elements' positions in the layout, the compact layout's
+    offsets and element-to-segment map, and each per-element array of
+    `arrays` gathered at those positions.
+    """
+    starts, ends = offsets[:-1][keep], offsets[1:][keep]
+    pos = _concat_ranges(starts, ends)
+    lengths = ends - starts
+    seg_off = np.concatenate([[0], np.cumsum(lengths)])
+    seg_of = np.repeat(np.arange(lengths.size), lengths)
+    return pos, seg_off, seg_of, [a[pos] for a in arrays]
 
 
 def _segment_fill(lo, gaps, offsets, residuals, seg_of):
@@ -210,16 +195,8 @@ def solve_segments_continuous(
     if stats is None:
         stats = SolveStats()
 
-    # compact the open segments
-    seg_ids = np.flatnonzero(open_seg)
-    out_pos = _concat_ranges(offsets[:-1][seg_ids], offsets[1:][seg_ids])
-    e_idx = idx[out_pos]
-    e_lo = lo[out_pos]
-    e_hi = hi[out_pos]
-    lengths = (offsets[1:] - offsets[:-1])[seg_ids]
-    seg_off = np.concatenate([[0], np.cumsum(lengths)])
-    seg_tgt = targets[seg_ids]
-    seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
+    out_pos, seg_off, seg_of, (e_idx, e_lo, e_hi) = _select_segments(open_seg, offsets, idx, lo, hi)
+    seg_tgt = targets[open_seg]
     inv = obj.inverse_map(e_idx)
 
     def x_at(lam):
@@ -235,7 +212,7 @@ def solve_segments_continuous(
     # allocations at the bracket ends, kept in step with every move of an end
     x_l = x_at(lam_lo)
     x_h = x_at(lam_hi)
-    illinois = e_idx.size >= _ILLINOIS_MIN_ELEMENTS + _ILLINOIS_ELEMENTS_PER_SEGMENT * seg_ids.size
+    illinois = e_idx.size >= _ILLINOIS_MIN_ELEMENTS + _ILLINOIS_ELEMENTS_PER_SEGMENT * seg_tgt.size
     if illinois:
         # excess sum - target at each bracket end, and the bracket width the
         # bisection budget allows (4x what plain halving would have left)
@@ -245,24 +222,19 @@ def solve_segments_continuous(
 
     def finalize(sel):
         """Repair converged segments: fill residual gaps in index order."""
-        elems = sel[seg_of]
-        xl = x_l[elems]
-        xh = x_h[elems]
-        sub_len = lengths[sel]
-        sub_off = np.concatenate([[0], np.cumsum(sub_len)])
-        sub_of = np.repeat(np.arange(int(sel.sum())), sub_len)
+        pos, sub_off, sub_of, (xl, xh) = _select_segments(sel, seg_off, x_l, x_h)
         resid = seg_tgt[sel] - np.add.reduceat(xl, sub_off[:-1])
         gaps = xh - xl
         x = _segment_fill(xl, gaps, sub_off, resid, sub_of)
         leftover = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
-        big = np.abs(leftover) > eps_x * sub_len
+        big = np.abs(leftover) > eps_x * np.diff(sub_off)
         if np.any(big):
             # flat-marginal segment: any feasible point is optimal there, so
             # restart from the floor and spread the budget uniformly
-            np.copyto(x, e_lo[elems], where=big[sub_of])
+            np.copyto(x, e_lo[pos], where=big[sub_of])
             budget = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
-            x = _waterfill(x, e_hi[elems], sub_off, budget, big)
-        x_out[out_pos[elems]] = x
+            x = _waterfill(x, e_hi[pos], sub_off, budget, big)
+        x_out[out_pos[pos]] = x
 
     it = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -302,31 +274,23 @@ def solve_segments_continuous(
             gap = np.maximum.reduceat(x_h - x_l, seg_off[:-1])
             done = (gap <= eps_x) | stuck
             n_done = np.count_nonzero(done)
-            if n_done == len(seg_ids):
-                finalize(np.ones(len(seg_ids), dtype=bool))
+            if n_done == seg_tgt.size:
+                finalize(np.ones(seg_tgt.size, dtype=bool))
                 stats.kernel_steps += it
                 return x_out
             if it >= max_iter:
                 raise RuntimeError(
-                    f"multiplier search left {len(seg_ids) - n_done} segments open after "
+                    f"multiplier search left {seg_tgt.size - n_done} segments open after "
                     f"{it} steps; widest x-gap {float(gap[~done].max())} > eps_x {eps_x}"
                 )
-            if n_done * 2 >= len(seg_ids):
+            if n_done * 2 >= seg_tgt.size:
                 # retire finished segments and compact the working set
                 finalize(done)
                 keep = ~done
-                keep_elems = keep[seg_of]
-                seg_ids = seg_ids[keep]
-                out_pos = out_pos[keep_elems]
-                e_idx = e_idx[keep_elems]
-                e_lo = e_lo[keep_elems]
-                e_hi = e_hi[keep_elems]
-                x_l = x_l[keep_elems]
-                x_h = x_h[keep_elems]
-                lengths = lengths[keep]
-                seg_off = np.concatenate([[0], np.cumsum(lengths)])
+                _, seg_off, seg_of, (out_pos, e_idx, e_lo, e_hi, x_l, x_h) = _select_segments(
+                    keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_l, x_h
+                )
                 seg_tgt = seg_tgt[keep]
-                seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
                 inv = obj.inverse_map(e_idx)
                 lam_lo = lam_lo[keep]
                 lam_hi = lam_hi[keep]
@@ -405,15 +369,8 @@ def solve_segments_integer(
     if stats is None:
         stats = SolveStats()
 
-    seg_ids = np.flatnonzero(open_seg)
-    out_pos = _concat_ranges(offsets[:-1][seg_ids], offsets[1:][seg_ids])
-    e_idx = idx[out_pos]
-    e_lo = lo[out_pos]
-    e_hi = hi[out_pos]
-    lengths = (offsets[1:] - offsets[:-1])[seg_ids]
-    seg_off = np.concatenate([[0], np.cumsum(lengths)])
-    seg_tgt = targets[seg_ids]
-    seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
+    out_pos, seg_off, seg_of, (e_idx, e_lo, e_hi) = _select_segments(open_seg, offsets, idx, lo, hi)
+    seg_tgt = targets[open_seg]
     starts = seg_off[:-1]
 
     free = e_hi > e_lo
@@ -457,60 +414,3 @@ def solve_segments_integer(
     x[order] = _segment_fill(x_l[order], gaps[order], seg_off, resid, seg_of)
     x_out[out_pos] = x
     return x_out
-
-
-# -- single-problem front ends -------------------------------------------
-
-
-def rap_continuous(p: RapProblem, eps_x: float) -> np.ndarray:
-    """Continuous RAP solution, each coordinate within eps_x of an optimum."""
-    if eps_x <= 0:
-        raise ValueError("need eps_x > 0")
-    if not p.objective.differentiable:
-        raise ValueError("continuous kernel needs a derivative")
-    offsets = np.array([0, p.indices.size])
-    return solve_segments_continuous(
-        p.objective, p.indices, p.c_hat, p.d_hat, offsets, np.array([p.target]), eps_x
-    )
-
-
-def _require_integral(p: RapProblem):
-    for name, arr in (("c_hat", p.c_hat), ("d_hat", p.d_hat)):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError(f"integer kernel needs integral {name}")
-    if p.target != np.floor(p.target):
-        raise ValueError("integer kernel needs an integral target")
-
-
-def rap_integer(p: RapProblem) -> np.ndarray:
-    """Exact integer RAP optimum via multiplier search over unit marginals."""
-    _require_integral(p)
-    offsets = np.array([0, p.indices.size])
-    return solve_segments_integer(
-        p.objective, p.indices, p.c_hat, p.d_hat, offsets, np.array([p.target])
-    )
-
-
-def rap_integer_greedy(p: RapProblem) -> np.ndarray:
-    """Heap greedy oracle: one unit at a time to the cheapest marginal,
-    lowest index on ties. Same allocation as rap_integer by construction."""
-    _require_integral(p)
-    x = p.c_hat.copy()
-    remaining = int(round(p.target - x.sum()))
-    heap = []
-    for j in range(p.indices.size):
-        if x[j] < p.d_hat[j]:
-            i = int(p.indices[j])
-            marg = p.objective.value(i, x[j] + 1.0) - p.objective.value(i, x[j])
-            heapq.heappush(heap, (marg, j))
-    while remaining > 0 and heap:
-        _, j = heapq.heappop(heap)
-        x[j] += 1.0
-        remaining -= 1
-        if x[j] < p.d_hat[j]:
-            i = int(p.indices[j])
-            marg = p.objective.value(i, x[j] + 1.0) - p.objective.value(i, x[j])
-            heapq.heappush(heap, (marg, j))
-    if remaining > 0:
-        raise ValueError("infeasible RAP: box capacity exhausted")
-    return x

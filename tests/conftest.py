@@ -32,6 +32,14 @@ def random_objective(rng: np.random.Generator, family: Family, n: int) -> Object
     raise ValueError(family)
 
 
+def one_segment(c, d, target, idx=None):
+    """Kernel arguments after the objective for a single RAP: one segment over
+    the variables `idx` (default 0..len(c)-1), box [c, d], sum `target`."""
+    c = np.asarray(c, dtype=float)
+    idx = np.arange(c.size) if idx is None else np.asarray(idx)
+    return idx, c, np.asarray(d, dtype=float), np.array([0, c.size]), np.array([float(target)])
+
+
 def small_integer_instance(seed: int, family: Family) -> NestedInstance:
     """Random integer-mode instance inside the oracle guard rails
     (n <= 12, B <= 40). Feasibility is deliberately not guaranteed."""

@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nested_alloc import (
-    InstanceFamily,
-    Mode,
-    generate_instance,
-    read_instance,
-    write_instance,
-)
+from nested_alloc import Mode, generate_instance, read_instance, write_instance
+from nested_alloc.generators import InstanceFamily
 
 FAMILIES = [f.value for f in InstanceFamily]
 

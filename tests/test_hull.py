@@ -10,19 +10,20 @@ from nested_alloc import (
     ObjectiveSpec,
     Status,
     active_growth_experiment,
-    build_hull_instance,
     generate_instance,
-    hull_solve,
     hull_solve_instance,
-    hull_vertex_count,
     kkt_tolerance,
     lifted_crashing_instance,
-    lower_hull_vertices,
-    scale_parameters,
     solve,
     verify_kkt,
 )
-from nested_alloc.hull import growth_rows_to_csv
+from nested_alloc.hull import (
+    build_hull_instance,
+    growth_rows_to_csv,
+    hull_solve,
+    lower_hull_vertices,
+    scale_parameters,
+)
 
 
 def quad_instance(a, B, upper=10.0):
@@ -143,11 +144,6 @@ class TestGrowthExperiment:
     def test_single_constraint_has_no_interior_vertices(self):
         rows = active_growth_experiment(Family.CRASHING, [1], trials=20, seed=0)
         assert rows[0][2] == 0.0
-
-    def test_counts_match_hull_vertex_count(self):
-        inst = lifted_crashing_instance(64, 5)
-        hi = build_hull_instance(inst)
-        assert hull_vertex_count(hi) == len(lower_hull_vertices(hi.points_x, hi.points_y)) - 2
 
     def test_log_like_growth_small_scale(self):
         rows = active_growth_experiment(Family.CRASHING, [30, 300, 3000], trials=30, seed=1)

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nested_alloc import (
-    DomainError,
-    Family,
-    Mode,
-    NestedInstance,
-    ObjectiveSpec,
-    ValidationError,
-    objective_value,
-)
+from nested_alloc import Family, Mode, NestedInstance, ObjectiveSpec, ValidationError
+from nested_alloc.model import DomainError, objective_value
 from nested_alloc import rap
 
 from conftest import OBJECTIVE_FAMILIES, random_objective

@@ -3,22 +3,21 @@ import pytest
 
 from nested_alloc import (
     Family,
-    InstanceFamily,
     Mode,
     NestedInstance,
     ObjectiveSpec,
     Solution,
     Status,
     brute_force_solve,
-    count_active_constraints,
     generate_instance,
     greedy_solve,
     kkt_tolerance,
     solve,
     verify_kkt,
 )
+from nested_alloc.generators import InstanceFamily
 from nested_alloc.model import prefix_sums
-from nested_alloc.oracles import KktReport
+from nested_alloc.oracles import KktReport, count_active_constraints
 
 from conftest import small_integer_instance
 
@@ -179,7 +178,8 @@ class TestVerifyKkt:
         free = (x > inst.lower + 1e-6) & (x < inst.upper - 1e-6)
         j = next(
             j for j in range(n - 1)
-            if free[j] and free[j + 1] and inst.block_of(j) == inst.block_of(j + 1)
+            if free[j] and free[j + 1]
+            and np.searchsorted(inst.s, j + 1) == np.searchsorted(inst.s, j + 2)
         )
         delta = 100 * tau
         x[j] += delta

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from nested_alloc import (
     Family,
+    Mode,
+    NestedInstance,
     ObjectiveSpec,
-    RapProblem,
+    Status,
     generate_instance,
-    rap_continuous,
-    rap_integer,
-    rap_integer_greedy,
+    solve,
 )
 from nested_alloc import rap as rap_module
 from nested_alloc import solver
+from nested_alloc.oracles import rap_integer_greedy
 from nested_alloc.rap import (
     _bracket_segments,
     _check_deadline,
@@ -27,19 +28,26 @@ from nested_alloc.rap import (
     _segment_fill,
     _waterfill,
     solve_segments_continuous,
+    solve_segments_integer,
 )
 
-from conftest import OBJECTIVE_FAMILIES, random_objective
+from conftest import OBJECTIVE_FAMILIES, one_segment, random_objective
 
 
 def quad(n):
     return ObjectiveSpec(Family.QUADRATIC, {"w": np.ones(n), "t": np.zeros(n)})
 
 
-def rap(obj, c, d, target, idx=None):
-    c = np.asarray(c, dtype=float)
-    idx = np.arange(c.size) if idx is None else idx
-    return RapProblem(obj, idx, c, np.asarray(d, dtype=float), target)
+def continuous_rap(obj, c, d, target, eps_x):
+    return solve_segments_continuous(obj, *one_segment(c, d, target), eps_x)
+
+
+def integer_rap(obj, c, d, target):
+    return solve_segments_integer(obj, *one_segment(c, d, target))
+
+
+def greedy_rap(obj, c, d, target):
+    return rap_integer_greedy(obj, np.arange(len(c)), c, d, target)
 
 
 def enumerate_optimum(obj, idx, c, d, target):
@@ -72,13 +80,12 @@ def enumerate_optimum(obj, idx, c, d, target):
 
 class TestContinuous:
     def test_symmetric_split(self):
-        p = rap(quad(3), [0, 0, 0], [10, 10, 10], 6.0)
-        x = rap_continuous(p, 1e-9)
+        x = continuous_rap(quad(3), [0, 0, 0], [10, 10, 10], 6.0, 1e-9)
         assert np.allclose(x, [2, 2, 2], atol=1e-8)
 
     def test_bounds_force(self):
         obj = ObjectiveSpec(Family.F, {"p": np.zeros(2)})
-        x = rap_continuous(rap(obj, [0, 0], [1, 1], 2.0), 1e-9)
+        x = continuous_rap(obj, [0, 0], [1, 1], 2.0, 1e-9)
         assert np.allclose(x, [1, 1])
 
     def test_asymmetric_box_grid_oracle(self):
@@ -88,7 +95,7 @@ class TestContinuous:
         vals = grid**2 + (4.0 - grid) ** 2
         x1_star = grid[np.argmin(vals)]
         assert x1_star == 1.0  # frozen oracle value
-        x = rap_continuous(rap(obj, [0, 0], [1, 10], 4.0), 1e-8)
+        x = continuous_rap(obj, [0, 0], [1, 10], 4.0, 1e-8)
         assert np.allclose(x, [1.0, 3.0], atol=1e-7)
 
     def test_sum_exact_after_repair(self):
@@ -98,7 +105,7 @@ class TestContinuous:
             c = rng.uniform(0.2, 1.0, 6)
             d = c + rng.uniform(0.5, 2.0, 6)
             target = float(rng.uniform(c.sum(), d.sum()))
-            x = rap_continuous(rap(obj, c, d, target), 1e-10)
+            x = continuous_rap(obj, c, d, target, 1e-10)
             assert abs(x.sum() - target) <= 1e-9 * (1 + abs(target))
             assert np.all(x >= c - 1e-12) and np.all(x <= d + 1e-12)
 
@@ -111,7 +118,7 @@ class TestContinuous:
             c = rng.uniform(0.2, 1.0, 8)
             d = c + rng.uniform(0.5, 2.0, 8)
             target = float(rng.uniform(c.sum(), d.sum()))
-            x = rap_continuous(rap(obj, c, d, target), eps)
+            x = continuous_rap(obj, c, d, target, eps)
             g = obj.derivative_at(idx, x)
             lip = float(obj.second_derivative_at(idx, x).max())
             tau = 10 * eps * lip
@@ -128,27 +135,32 @@ class TestContinuous:
         d = c + rng.uniform(0.5, 1.5, 5)
         prev = None
         for target in np.linspace(c.sum(), d.sum(), 12):
-            x = rap_continuous(rap(obj, c, d, float(target)), 1e-10)
+            x = continuous_rap(obj, c, d, target, 1e-10)
             if prev is not None:
                 assert np.all(x >= prev - 1e-8)
             prev = x
 
     def test_infeasible_rejected(self):
-        with pytest.raises(ValueError):
-            rap(quad(2), [0, 0], [1, 1], 3.0)
-        with pytest.raises(ValueError):
-            rap(quad(2), [1, 1], [3, 3], 1.0)
+        # the kernels take feasible segments; a one-block solve is a single
+        # RAP, and its feasibility check rejects a target outside the box sums
+        for lower, upper, B in (([0, 0], [1, 1], 3.0), ([1, 1], [3, 3], 1.0)):
+            inst = NestedInstance(
+                n=2, m=1, s=[2], a=[], B=B, lower=lower, upper=upper,
+                objective=quad(2), mode=Mode.CONTINUOUS,
+            )
+            sol, _ = solve(inst, eps=1e-9)
+            assert sol.status is Status.INFEASIBLE and sol.x is None
 
     def test_missing_derivative_rejected(self):
         obj = ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: x * x)
-        with pytest.raises(ValueError):
-            rap_continuous(rap(obj, [0.0], [2.0], 1.0), 1e-8)
+        with pytest.raises(ValueError, match="no derivative"):
+            continuous_rap(obj, [0.0, 0.0], [2.0, 2.0], 1.0, 1e-8)
 
     def test_custom_with_derivative_works(self):
         obj = ObjectiveSpec(
             Family.CUSTOM, {}, value_fn=lambda i, x: x * x, derivative_fn=lambda i, x: 2 * x
         )
-        x = rap_continuous(rap(obj, [0, 0], [5, 5], 4.0), 1e-7)
+        x = continuous_rap(obj, [0, 0], [5, 5], 4.0, 1e-7)
         assert np.allclose(x, [2, 2], atol=1e-6)
 
     def test_initial_bracket_sandwiches_target(self):
@@ -168,7 +180,7 @@ class TestContinuous:
         obj = ObjectiveSpec(
             Family.CUSTOM, {}, value_fn=lambda i, x: 3.0 * x, derivative_fn=lambda i, x: 3.0
         )
-        x = rap_continuous(rap(obj, [0, 0, 0], [4, 4, 4], 6.0), 1e-9)
+        x = continuous_rap(obj, [0, 0, 0], [4, 4, 4], 6.0, 1e-9)
         assert abs(x.sum() - 6.0) <= 1e-9
         assert np.allclose(x, [2, 2, 2])  # uniform split of the residual
 
@@ -177,46 +189,49 @@ class TestInteger:
     def test_mixed_costs_enumeration(self):
         costs = {0: lambda x: x * x, 1: lambda x: 3.0 * x}
         obj = ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: costs[i](x))
-        p = rap(obj, [0, 0], [4, 4], 4)
         best = enumerate_optimum(obj, [0, 1], [0, 0], [4, 4], 4)
         assert best[0] == 10.0  # frozen from enumeration over all 5 splits
-        x = rap_integer(p)
+        x = integer_rap(obj, [0, 0], [4, 4], 4)
         # greedy tie-break favors the lowest index among equal marginals
         assert x.tolist() == [2.0, 2.0]
         assert math.fsum(costs[i](v) for i, v in enumerate(x)) == 10.0
 
     def test_three_squares(self):
-        p = rap(quad(3), [0, 0, 0], [10, 10, 10], 7)
         best = enumerate_optimum(quad(3), [0, 1, 2], [0, 0, 0], [10, 10, 10], 7)
         assert best[0] == 17.0 and sorted(best[1]) == [2, 2, 3]
-        x = rap_integer(p)
+        x = integer_rap(quad(3), [0, 0, 0], [10, 10, 10], 7)
         assert sorted(x.tolist()) == [2.0, 2.0, 3.0]
         assert sum(quad(3).value(i, v) for i, v in enumerate(x)) == 17.0
 
     def test_no_free_resource(self):
-        p = rap(quad(3), [1, 2, 3], [5, 5, 5], 6)
-        assert rap_integer(p).tolist() == [1.0, 2.0, 3.0]
-        assert rap_integer_greedy(p).tolist() == [1.0, 2.0, 3.0]
+        args = quad(3), [1, 2, 3], [5, 5, 5], 6
+        assert integer_rap(*args).tolist() == [1.0, 2.0, 3.0]
+        assert greedy_rap(*args).tolist() == [1.0, 2.0, 3.0]
 
     def test_single_variable(self):
-        p = rap(quad(1), [0], [5], 5)
-        assert rap_integer_greedy(p).tolist() == [5.0]
+        assert greedy_rap(quad(1), [0], [5], 5).tolist() == [5.0]
 
     def test_tie_breaks_to_lowest_index(self):
-        p = rap(quad(2), [0, 0], [5, 5], 3)
-        assert rap_integer(p).tolist() == [2.0, 1.0]
-        assert rap_integer_greedy(p).tolist() == [2.0, 1.0]
+        args = quad(2), [0, 0], [5, 5], 3
+        assert integer_rap(*args).tolist() == [2.0, 1.0]
+        assert greedy_rap(*args).tolist() == [2.0, 1.0]
 
     def test_greedy_matches_search_on_examples(self):
         costs = {0: lambda x: x * x, 1: lambda x: 3.0 * x}
         obj = ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: costs[i](x))
         for target in (0, 2, 4, 6, 8):
-            p = rap(obj, [0, 0], [4, 4], target)
-            assert rap_integer(p).tolist() == rap_integer_greedy(p).tolist()
+            args = obj, [0, 0], [4, 4], target
+            assert integer_rap(*args).tolist() == greedy_rap(*args).tolist()
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            rap_integer(rap(quad(2), [0, 0], [2.5, 2], 2))
+        with pytest.raises(ValueError, match="integral d"):
+            greedy_rap(quad(2), [0, 0], [2.5, 2], 2)
+        with pytest.raises(ValueError, match="integral target"):
+            greedy_rap(quad(2), [0, 0], [2, 2], 2.5)
+
+    def test_greedy_box_capacity_exhausted(self):
+        with pytest.raises(ValueError, match="box capacity exhausted"):
+            greedy_rap(quad(2), [0, 0], [1, 1], 3)
 
 
 def _equivalence_case(rng, family):
@@ -227,9 +242,8 @@ def _equivalence_case(rng, family):
     d = c + rng.integers(0, 5, n)
     free = int(rng.integers(0, min(12, int((d - c).sum())) + 1))
     target = float(min(c.sum() + free, 30))
-    p = rap(obj, c, d, target)
-    xi = rap_integer(p)
-    xg = rap_integer_greedy(p)
+    xi = integer_rap(obj, c, d, target)
+    xg = greedy_rap(obj, c, d, target)
     idx = np.arange(n)
     best_cost, _ = enumerate_optimum(obj, idx, c, d, target)
     cost_i = math.fsum(obj.value_at(idx, xi).tolist())
@@ -241,7 +255,7 @@ def _equivalence_case(rng, family):
 
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
 def test_kernel_equivalence_random(family):
-    """rap_integer, the heap greedy, and exhaustive enumeration agree on
+    """The integer kernel, the heap greedy, and exhaustive enumeration agree on
     500 random boxed problems per family; the first two bit-for-bit."""
     rng = np.random.Generator(np.random.PCG64(zlib.crc32(family.value.encode())))
     for _ in range(500):
@@ -264,11 +278,11 @@ def _wide_box(rng, n, lo_base):
     return c, d, float(c.sum() + free)
 
 
-def _assert_matches_greedy(p):
-    xi = rap_integer(p)
-    xg = rap_integer_greedy(p)
+def _assert_matches_greedy(obj, c, d, target):
+    xi = integer_rap(obj, c, d, target)
+    xg = greedy_rap(obj, c, d, target)
     assert xi.tolist() == xg.tolist()
-    assert xi.sum() == p.target
+    assert xi.sum() == target
 
 
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
@@ -280,7 +294,7 @@ def test_kernel_equivalence_wide_boxes(family):
     for _ in range(8):
         n = int(rng.integers(2, 25))
         c, d, target = _wide_box(rng, n, lo_base)
-        _assert_matches_greedy(rap(random_objective(rng, family, n), c, d, target))
+        _assert_matches_greedy(random_objective(rng, family, n), c, d, target)
 
 
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
@@ -296,7 +310,7 @@ def test_kernel_equivalence_equal_parameters(family):
         c = (lo_base + rng.integers(0, 3, n) * rng.integers(0, 200)).astype(float)
         d = c + rng.choice([0, 1, 7, 500, 1000], n)
         free = int(rng.integers(0, int((d - c).sum()) + 1))
-        _assert_matches_greedy(rap(obj, c, d, float(c.sum() + free)))
+        _assert_matches_greedy(obj, c, d, float(c.sum() + free))
 
 
 def test_kernel_linear_custom_fills_in_index_order():
@@ -307,12 +321,12 @@ def test_kernel_linear_custom_fills_in_index_order():
     c = rng.integers(0, 20, 12).astype(float)
     d = c + rng.integers(0, 300, 12)
     free = int((d - c).sum()) // 2
-    p = rap(obj, c, d, float(c.sum() + free))
-    x = rap_integer(p)
+    target = float(c.sum() + free)
+    x = integer_rap(obj, c, d, target)
     full = np.cumsum(d - c) <= free
     k = int(np.argmin(full))  # first element that is not filled up
     assert np.array_equal(x[:k], d[:k]) and np.array_equal(x[k + 1 :], c[k + 1 :])
-    _assert_matches_greedy(p)
+    _assert_matches_greedy(obj, c, d, target)
 
 
 # -- continuous kernel against the bisection it replaced -------------------

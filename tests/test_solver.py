@@ -11,7 +11,6 @@ from nested_alloc import (
     Mode,
     NestedInstance,
     ObjectiveSpec,
-    RapProblem,
     SolveTimeout,
     Status,
     brute_force_solve,
@@ -20,9 +19,6 @@ from nested_alloc import (
     greedy_solve,
     lifted_crashing_instance,
     hull_solve_instance,
-    objective_value,
-    prefix_sums,
-    rap_continuous,
     solve,
     tighten,
 )
@@ -30,8 +26,10 @@ from nested_alloc import (
 from nested_alloc import rap as rap_module
 from nested_alloc import solver as solver_mod
 from nested_alloc.cli import _scaled_integer_instance
+from nested_alloc.model import objective_value, prefix_sums
+from nested_alloc.rap import solve_segments_continuous
 
-from conftest import small_integer_instance
+from conftest import one_segment, small_integer_instance
 
 
 def quad_spec(n, w=1.0):
@@ -130,15 +128,21 @@ class TestSolve:
             lower=np.zeros(n), upper=upper, objective=obj, mode=Mode.CONTINUOUS,
         )
         sol, stats = solve(inst, eps=1e-9)
-        direct = rap_continuous(
-            RapProblem(obj, np.arange(n), np.zeros(n), upper, inst.B), 1e-9
-        )
+        direct = solve_segments_continuous(obj, *one_segment(np.zeros(n), upper, inst.B), 1e-9)
         assert stats.rap_calls == 1 and stats.recursion_levels == 1
         assert np.allclose(sol.x, direct, atol=1e-8)
 
     def test_continuous_needs_eps(self):
         with pytest.raises(ValueError):
             solve(quad_example(Mode.CONTINUOUS))
+
+    def test_continuous_needs_derivative(self):
+        inst = dataclasses.replace(
+            quad_example(Mode.CONTINUOUS),
+            objective=ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: x * x),
+        )
+        with pytest.raises(ValueError, match="differentiable objective"):
+            solve(inst, eps=1e-8)
 
     def test_prefix_feasibility_property(self):
         for seed in range(10):
@@ -174,9 +178,12 @@ class TestSolve:
         )
         wb = tighten(inst)
         assert check_feasible(inst, wb)
-        left = rap_continuous(RapProblem(obj, np.arange(4), np.zeros(4), upper[:4], wb.abar[1]), 1e-10)
-        right = rap_continuous(
-            RapProblem(obj, np.arange(4, 8), np.zeros(4), upper[4:], wb.abar[2] - wb.abar[1]), 1e-10
+        left = solve_segments_continuous(
+            obj, *one_segment(np.zeros(4), upper[:4], wb.abar[1]), 1e-10
+        )
+        right = solve_segments_continuous(
+            obj, *one_segment(np.zeros(4), upper[4:], wb.abar[2] - wb.abar[1], np.arange(4, 8)),
+            1e-10,
         )
         sol, _ = solve(inst, eps=1e-10)
         assert np.all(sol.x[:4] <= left + 1e-8)
