@@ -68,9 +68,9 @@ _PARAM_KEYS = {
 POLE_FAMILIES = (Family.CRASHING, Family.FUELOPT)
 
 
-def _at(v: np.ndarray, seg_of: np.ndarray | None) -> np.ndarray:
+def _at(v: np.ndarray, seg_len: np.ndarray | None) -> np.ndarray:
     """Per-segment values spread to elements (per-element values as given)."""
-    return v if seg_of is None else v.take(seg_of)
+    return v if seg_len is None else np.repeat(v, seg_len)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -205,38 +205,40 @@ class ObjectiveSpec:
     ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None:
         """Unclamped x_k(lam) = (f'_{idx[k]})^-1(lam), constants gathered once.
 
-        The returned `inv(lam, seg_of=None)` takes one multiplier per segment
-        and evaluates element k at lam[seg_of[k]] (at lam[k] when seg_of is
-        None). Work that depends on lam alone runs on the per-segment array,
-        which leaves a gather and one or two arithmetic operations per
-        element. The pole families give +inf for lam >= 0 and 0 at
-        lam = -inf. None for CUSTOM, which has no closed form.
+        The returned `inv(lam, seg_len=None)` takes one multiplier per segment
+        of consecutive elements, segment j holding seg_len[j] of them, and
+        evaluates each element at its segment's multiplier (element k at
+        lam[k] when seg_len is None). Work that depends on lam alone runs on
+        the per-segment array, which leaves a run-length spread and one or two
+        arithmetic operations per element. The pole families give +inf for
+        lam >= 0 and 0 at lam = -inf. None for CUSTOM, which has no closed
+        form.
         """
         fam = self.family
         if fam is Family.CUSTOM:
             return None
         if fam is Family.F:
             p = self.params["p"][idx]
-            return lambda lam, seg_of=None: np.cbrt(_at(lam, seg_of) - p)
+            return lambda lam, seg_len=None: np.cbrt(_at(lam, seg_len) - p)
         if fam is Family.QUADRATIC:
             t = self.params["t"][idx]
             two_w = 2.0 * self.params["w"][idx]
-            return lambda lam, seg_of=None: t + _at(lam, seg_of) / two_w
+            return lambda lam, seg_len=None: t + _at(lam, seg_len) / two_w
         if fam is Family.CRASHING:
             p = self.params["p"][idx]
 
-            def inv(lam, seg_of=None):  # x = sqrt(p / -lam)
+            def inv(lam, seg_len=None):  # x = sqrt(p / -lam)
                 with np.errstate(divide="ignore"):
-                    x = p / _at(np.maximum(-lam, 0.0), seg_of)
+                    x = p / _at(np.maximum(-lam, 0.0), seg_len)
                 return np.sqrt(x, out=x)
 
             return inv
         p, c = self.params["p"][idx], self.params["c"][idx]
         g = (3.0 * p * c**4) ** 0.25
 
-        def inv(lam, seg_of=None):  # x = (3 p c^4 / -lam)^(1/4)
+        def inv(lam, seg_len=None):  # x = (3 p c^4 / -lam)^(1/4)
             with np.errstate(divide="ignore"):
-                return g / _at(np.sqrt(np.sqrt(np.maximum(-lam, 0.0))), seg_of)
+                return g / _at(np.sqrt(np.sqrt(np.maximum(-lam, 0.0))), seg_len)
 
         return inv
 

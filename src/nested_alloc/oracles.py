@@ -280,8 +280,10 @@ def count_active_constraints(inst: NestedInstance, x: np.ndarray | Solution, tol
     return int(np.count_nonzero(inst.a - y <= tol))
 
 
-def kkt_tolerance(inst: NestedInstance, x: np.ndarray, eps: float) -> float:
+def kkt_tolerance(inst: NestedInstance, x: np.ndarray | None, eps: float) -> float:
     """Marginal-gap tolerance matched to coordinate accuracy eps: ten times
     the steepest local curvature along the solution."""
+    if x is None:
+        raise ValueError("nothing to verify: solution carries no allocation")
     lip = float(np.max(inst.objective.second_derivative_at(np.arange(inst.n), np.asarray(x))))
     return 10.0 * lip * eps

@@ -12,9 +12,18 @@ excess sum(x) - R at the two ends, and the excess kept at an end that stays put
 twice in a row is halved (Illinois). It takes the midpoint instead when that
 point leaves the open bracket or is not finite, or when the bracket is wider
 than four times what plain bisection would have left after as many steps, so
-no bracket ever falls more than three halvings behind bisection. Calls too
-small for the interpolation to pay for its bookkeeping bisect. Both bracket
-ends and every step evaluate x(lam) through the objective's inverse map
+no bracket ever falls more than three halvings behind bisection. Interpolating
+calls also stop a segment at its root: once one evaluation (a bracket end or a
+step) gives an excess within eps/2 of zero, the segment is done, and its
+residual is filled from that evaluation's allocation in index order, up from
+x_l for a hit from below and down from x_h for a hit from above. x(lam) is
+exactly optimal for its own sum R', and optimal allocations are coordinatewise
+monotone in the target, so an optimum for R lies within |R - R'| <= eps/2 of
+x(lam) on the side the fill moves, and so does the filled point. This ends the
+regula falsi stagnation in which one end sits an ulp from the target while the
+other crawls in. Calls too small for the interpolation to pay for its
+bookkeeping bisect, with the x-width stop alone. Both bracket ends and every
+step evaluate x(lam) through the objective's inverse map
 (`ObjectiveSpec.inverse_map`), built once per call and again after each
 compaction, so per-variable constants are gathered once and the work that
 depends on lam alone runs per segment; CUSTOM objectives, which have no map,
@@ -75,23 +84,25 @@ def _select_segments(keep, offsets, *arrays):
     """Compact the segments flagged in `keep` out of a segmented layout.
 
     Returns the kept elements' positions in the layout, the compact layout's
-    offsets and element-to-segment map, and each per-element array of
-    `arrays` gathered at those positions.
+    offsets and segment lengths, and each per-element array of `arrays`
+    gathered at those positions. Per-segment values reach the elements of
+    such a layout as `np.repeat(v, lengths)`, a run-length copy that is
+    cheaper than gathering through an element-to-segment map.
     """
     starts, ends = offsets[:-1][keep], offsets[1:][keep]
     pos = _concat_ranges(starts, ends)
     lengths = ends - starts
     seg_off = np.concatenate([[0], np.cumsum(lengths)])
-    seg_of = np.repeat(np.arange(lengths.size), lengths)
-    return pos, seg_off, seg_of, [a[pos] for a in arrays]
+    return pos, seg_off, lengths, [a[pos] for a in arrays]
 
 
-def _segment_fill(lo, gaps, offsets, residuals, seg_of):
+def _segment_fill(lo, gaps, offsets, residuals, lengths):
     """Distribute per-segment residuals into per-element gaps, index order."""
     cg = np.cumsum(gaps)
     seg_base = cg[offsets[:-1]] - gaps[offsets[:-1]]
-    before = (cg - seg_base[seg_of]) - gaps  # gap mass strictly before each element
-    take = np.clip(residuals[seg_of] - before, 0.0, gaps)
+    # gap mass strictly before each element
+    before = (cg - np.repeat(seg_base, lengths)) - gaps
+    take = np.clip(np.repeat(residuals, lengths) - before, 0.0, gaps)
     return lo + take
 
 
@@ -129,12 +140,12 @@ def _bracket_segments(obj, idx, lo, hi, offsets, targets, stats=None):
         # pole or unbounded box at a bracket end: pass the bracket through a
         # strictly interior feasible point instead (room capped by the
         # residual keeps the arithmetic finite under infinite upper bounds)
-        seg_of = np.repeat(np.arange(len(targets)), np.diff(offsets))
+        lengths = np.diff(offsets)
         resid = targets - np.add.reduceat(lo, starts)
-        room = np.minimum(hi - lo, np.maximum(resid, 0.0)[seg_of])
+        room = np.minimum(hi - lo, np.repeat(np.maximum(resid, 0.0), lengths))
         cap = np.add.reduceat(room, starts)
         share = np.where(cap > 0, resid / np.where(cap > 0, cap, 1.0), 0.0)
-        x_f = lo + room * share[seg_of]
+        x_f = lo + room * np.repeat(share, lengths)
         d_f = obj.derivative_at(idx, x_f)
         stats.kernel_evals += idx.size
         lam_lo = np.where(bad, np.minimum.reduceat(np.where(free, d_f, np.inf), starts), lam_lo)
@@ -195,7 +206,9 @@ def solve_segments_continuous(
     if stats is None:
         stats = SolveStats()
 
-    out_pos, seg_off, seg_of, (e_idx, e_lo, e_hi) = _select_segments(open_seg, offsets, idx, lo, hi)
+    out_pos, seg_off, seg_len, (e_idx, e_lo, e_hi) = _select_segments(
+        open_seg, offsets, idx, lo, hi
+    )
     seg_tgt = targets[open_seg]
     inv = obj.inverse_map(e_idx)
 
@@ -203,8 +216,8 @@ def solve_segments_continuous(
         """Clamped x(lam) of every open element, lam given per segment."""
         stats.kernel_evals += e_idx.size
         if inv is None:  # custom objective: invert f' by inner bisection
-            return _clamped_inverse(obj, e_idx, lam[seg_of], e_lo, e_hi)
-        x = inv(lam, seg_of)
+            return _clamped_inverse(obj, e_idx, np.repeat(lam, seg_len), e_lo, e_hi)
+        x = inv(lam, seg_len)
         np.maximum(x, e_lo, out=x)
         return np.minimum(x, e_hi, out=x)
 
@@ -219,19 +232,40 @@ def solve_segments_continuous(
         f_lo = np.add.reduceat(x_l, seg_off[:-1]) - seg_tgt
         f_hi = np.add.reduceat(x_h, seg_off[:-1]) - seg_tgt
         max_width = 4.0 * (lam_hi - lam_lo)
+        # root stop: an evaluation whose excess is within half_eps of zero
+        # ends its segment; `down` marks the hits from above, which finalize
+        # fills downward from x_h
+        half_eps = 0.5 * eps_x
+        down = np.abs(f_hi) <= half_eps
+        hit = down | (np.abs(f_lo) <= half_eps)
 
     def finalize(sel):
-        """Repair converged segments: fill residual gaps in index order."""
-        pos, sub_off, sub_of, (xl, xh) = _select_segments(sel, seg_off, x_l, x_h)
-        resid = seg_tgt[sel] - np.add.reduceat(xl, sub_off[:-1])
+        """Repair converged segments: fill residual gaps in index order, up
+        from x_l, or down from x_h where the search hit the target from above."""
+        pos, sub_off, sub_len, (xl, xh) = _select_segments(sel, seg_off, x_l, x_h)
         gaps = xh - xl
-        x = _segment_fill(xl, gaps, sub_off, resid, sub_of)
+        tgt = seg_tgt[sel]
+        flip = None
+        if illinois and down[sel].any():
+            # negated, the fill down from x_h is the same fill up from -x_h
+            tgt = np.where(down[sel], -tgt, tgt)
+            flip = np.repeat(down[sel], sub_len)
+            np.negative(xh, out=xl, where=flip)
+        resid = tgt - np.add.reduceat(xl, sub_off[:-1])
+        if illinois:
+            # a hit leaves gaps of any size; no element takes more than its
+            # segment's residual, and gaps capped at it keep the fill's
+            # running sums, and so their rounding, as small as the residuals
+            np.minimum(gaps, np.repeat(np.maximum(resid, 0.0), sub_len), out=gaps)
+        x = _segment_fill(xl, gaps, sub_off, resid, sub_len)
+        if flip is not None:
+            np.negative(x, out=x, where=flip)
         leftover = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
-        big = np.abs(leftover) > eps_x * np.diff(sub_off)
+        big = np.abs(leftover) > eps_x * sub_len
         if np.any(big):
             # flat-marginal segment: any feasible point is optimal there, so
             # restart from the floor and spread the budget uniformly
-            np.copyto(x, e_lo[pos], where=big[sub_of])
+            np.copyto(x, e_lo[pos], where=np.repeat(big, sub_len))
             budget = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
             x = _waterfill(x, e_hi[pos], sub_off, budget, big)
         x_out[out_pos[pos]] = x
@@ -252,12 +286,14 @@ def solve_segments_continuous(
             xm = x_at(lam)
             f = np.add.reduceat(xm, seg_off[:-1]) - seg_tgt
             live = ~stuck
+            if illinois:
+                live &= ~hit  # a segment that hit keeps the ends it hit with
             move_hi = (f >= 0.0) & live
             move_lo = live ^ move_hi
             np.copyto(lam_hi, lam, where=move_hi)
             np.copyto(lam_lo, lam, where=move_lo)
-            np.copyto(x_h, xm, where=move_hi[seg_of])
-            np.copyto(x_l, xm, where=move_lo[seg_of])
+            np.copyto(x_h, xm, where=np.repeat(move_hi, seg_len))
+            np.copyto(x_l, xm, where=np.repeat(move_lo, seg_len))
             if illinois:
                 # Illinois: when an end moves twice in a row, the excess
                 # kept at the other end is halved
@@ -268,11 +304,17 @@ def solve_segments_continuous(
                 np.copyto(f_hi, f, where=move_hi)
                 np.copyto(f_lo, f, where=move_lo)
                 last_hi = move_hi
+                # the true excess, not the halved one, decides a hit
+                near = live & (np.abs(f) <= half_eps)
+                down |= near & move_hi
+                hit |= near
             it += 1
             if it % 8 == 0:
                 _check_deadline(deadline)
             gap = np.maximum.reduceat(x_h - x_l, seg_off[:-1])
             done = (gap <= eps_x) | stuck
+            if illinois:
+                done |= hit
             n_done = np.count_nonzero(done)
             if n_done == seg_tgt.size:
                 finalize(np.ones(seg_tgt.size, dtype=bool))
@@ -287,7 +329,7 @@ def solve_segments_continuous(
                 # retire finished segments and compact the working set
                 finalize(done)
                 keep = ~done
-                _, seg_off, seg_of, (out_pos, e_idx, e_lo, e_hi, x_l, x_h) = _select_segments(
+                _, seg_off, seg_len, (out_pos, e_idx, e_lo, e_hi, x_l, x_h) = _select_segments(
                     keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_l, x_h
                 )
                 seg_tgt = seg_tgt[keep]
@@ -299,6 +341,8 @@ def solve_segments_continuous(
                     f_hi = f_hi[keep]
                     max_width = max_width[keep]
                     last_hi = last_hi[keep]
+                    down = down[keep]
+                    hit = hit[keep]
 
 
 def _waterfill(x, hi, offsets, leftover, which):
@@ -369,9 +413,12 @@ def solve_segments_integer(
     if stats is None:
         stats = SolveStats()
 
-    out_pos, seg_off, seg_of, (e_idx, e_lo, e_hi) = _select_segments(open_seg, offsets, idx, lo, hi)
+    out_pos, seg_off, seg_len, (e_idx, e_lo, e_hi) = _select_segments(
+        open_seg, offsets, idx, lo, hi
+    )
     seg_tgt = targets[open_seg]
     starts = seg_off[:-1]
+    seg_of = np.repeat(np.arange(seg_len.size), seg_len)
 
     free = e_hi > e_lo
     first = _unit_marginal(obj, e_idx, e_lo + 1.0, stats)
@@ -389,7 +436,7 @@ def solve_segments_integer(
         live = ~stuck & (np.maximum.reduceat(x_h - x_l, starts) > 1.0)
         if not live.any():
             break
-        work = np.flatnonzero(live[seg_of] & (x_h > x_l))
+        work = np.flatnonzero(np.repeat(live, seg_len) & (x_h > x_l))
         xm = x_l.copy()
         xm[work] = _int_alloc(obj, e_idx[work], x_l[work], x_h[work], lam[seg_of[work]], stats)
         ge = np.add.reduceat(xm, starts) >= seg_tgt
@@ -397,8 +444,8 @@ def solve_segments_integer(
         move_lo = live & ~ge
         lam_hi = np.where(move_hi, lam, lam_hi)
         lam_lo = np.where(move_lo, lam, lam_lo)
-        np.copyto(x_h, xm, where=move_hi[seg_of])
-        np.copyto(x_l, xm, where=move_lo[seg_of])
+        np.copyto(x_h, xm, where=np.repeat(move_hi, seg_len))
+        np.copyto(x_l, xm, where=np.repeat(move_lo, seg_len))
         it += 1
         if it % 4 == 0:
             _check_deadline(deadline)
@@ -411,6 +458,6 @@ def solve_segments_integer(
     order = np.lexsort((marg, seg_of))  # stable: equal marginals keep index order
     resid = seg_tgt - np.add.reduceat(x_l, starts)
     x = np.empty_like(x_l)
-    x[order] = _segment_fill(x_l[order], gaps[order], seg_off, resid, seg_of)
+    x[order] = _segment_fill(x_l[order], gaps[order], seg_off, resid, seg_len)
     x_out[out_pos] = x
     return x_out

@@ -137,32 +137,40 @@ def _segment_multipliers(rng, family, n_seg):
 
 class TestInverseMap:
     N = 300
+    SEGMENTS = 37
 
     def _case(self, rng, family):
+        """200 elements in 37 segments, some of them empty (the first, the
+        last and a run in the middle among them); returns per-segment
+        multipliers, the segment lengths and each element's multiplier."""
         spec = random_objective(rng, family, self.N)
         idx = rng.permutation(self.N)[:200]
-        seg_of = np.sort(rng.integers(0, 37, idx.size))
-        return spec, idx, _segment_multipliers(rng, family, 37), seg_of
+        seg_of = np.sort(rng.integers(1, self.SEGMENTS - 1, idx.size))
+        seg_of[(seg_of >= 10) & (seg_of < 13)] = 13
+        seg_len = np.bincount(seg_of, minlength=self.SEGMENTS)
+        assert seg_len[0] == seg_len[-1] == 0 and not seg_len[10:13].any()
+        lam = _segment_multipliers(rng, family, self.SEGMENTS)
+        return spec, idx, lam, seg_len, lam[seg_of]
 
     @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
     def test_map_is_per_element_inverse_bit_for_bit(self, family, rng):
-        spec, idx, lam, seg_of = self._case(rng, family)
-        x = spec.inverse_map(idx)(lam, seg_of)
-        assert np.array_equal(x, spec.inverse_derivative_at(idx, lam[seg_of]))
+        spec, idx, lam, seg_len, lam_e = self._case(rng, family)
+        x = spec.inverse_map(idx)(lam, seg_len)
+        assert np.array_equal(x, spec.inverse_derivative_at(idx, lam_e))
 
     @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
     def test_map_matches_previous_formulas(self, family, rng):
-        spec, idx, lam, seg_of = self._case(rng, family)
-        x = spec.inverse_map(idx)(lam, seg_of)
-        ref = _parent_inverse(spec, idx, lam[seg_of])
+        spec, idx, lam, seg_len, lam_e = self._case(rng, family)
+        x = spec.inverse_map(idx)(lam, seg_len)
+        ref = _parent_inverse(spec, idx, lam_e)
         assert np.all(np.abs(x - ref) <= 4 * np.spacing(np.abs(ref)))
 
     @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
     def test_derivative_gives_back_the_multiplier(self, family, rng):
-        spec, idx, lam, seg_of = self._case(rng, family)
-        x = spec.inverse_map(idx)(lam, seg_of)
+        spec, idx, lam, seg_len, lam_e = self._case(rng, family)
+        x = spec.inverse_map(idx)(lam, seg_len)
         back = spec.derivative_at(idx, x)
-        assert np.all(np.abs(back - lam[seg_of]) <= 1e-12 * np.abs(lam[seg_of]))
+        assert np.all(np.abs(back - lam_e) <= 1e-12 * np.abs(lam_e))
 
     @pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])
     def test_pole_families_at_the_ends(self, family, rng):
@@ -170,7 +178,7 @@ class TestInverseMap:
         idx = np.arange(5)
         lam = np.array([0.0, -0.0, 2.5, np.inf, -np.inf])
         expected = [np.inf, np.inf, np.inf, np.inf, 0.0]
-        assert np.array_equal(spec.inverse_map(idx)(lam, idx), expected)
+        assert np.array_equal(spec.inverse_map(idx)(lam, np.ones(5, dtype=np.int64)), expected)
         assert np.array_equal(spec.inverse_derivative_at(idx, lam), expected)
 
     def test_custom_has_no_map_and_still_solves(self, monkeypatch):

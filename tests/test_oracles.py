@@ -196,6 +196,17 @@ class TestVerifyKkt:
         with pytest.raises(ValueError):
             verify_kkt(inst, Solution(np.ones(2), 2.0, Status.OPTIMAL), 1e-6)
 
+    def test_infeasible_solution_has_nothing_to_verify(self):
+        # the box sum 6 falls short of B = 10
+        inst = quad_example(mode=Mode.CONTINUOUS, B=10.0)
+        sol, _ = solve(inst, eps=1e-9)
+        assert sol.status is Status.INFEASIBLE and sol.x is None
+        message = "nothing to verify: solution carries no allocation"
+        with pytest.raises(ValueError, match=message):
+            kkt_tolerance(inst, sol.x, 1e-9)
+        with pytest.raises(ValueError, match=message):
+            verify_kkt(inst, sol, 1e-6)
+
 
 def _verify_kkt_reference(
     inst: NestedInstance,

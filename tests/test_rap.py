@@ -12,6 +12,7 @@ from nested_alloc import (
     Mode,
     NestedInstance,
     ObjectiveSpec,
+    SolveStats,
     Status,
     generate_instance,
     solve,
@@ -366,7 +367,7 @@ def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, 
         sub_of = np.repeat(np.arange(int(sel.sum())), sub_len)
         resid = seg_tgt[sel] - np.add.reduceat(xl, sub_off[:-1])
         gaps = xh - xl
-        x = _segment_fill(xl, gaps, sub_off, resid, sub_of)
+        x = _segment_fill(xl, gaps, sub_off, resid, sub_len)
         leftover = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
         big = np.abs(leftover) > eps_x * sub_len
         if np.any(big):
@@ -578,6 +579,94 @@ def test_illinois_edge_targets_in_one_call(family):
     assert np.array_equal(x[: offsets[1]], d[: offsets[1]])
 
 
+def _near_box_ends(c, d, lengths, ulps):
+    """Targets `ulps` rounding steps below the box sum (even segments) or
+    above the floor sum (odd segments)."""
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    sum_c = np.add.reduceat(c, starts)
+    sum_d = np.add.reduceat(d, starts)
+    return np.where(
+        np.arange(len(lengths)) % 2 == 0,
+        sum_d - ulps * np.spacing(sum_d),
+        sum_c + ulps * np.spacing(sum_c),
+    )
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+@pytest.mark.parametrize("ulps", [1, 4])
+def test_root_stop_closes_plateau_before_bisection(family, ulps):
+    """A target a few ulps inside either box end leaves the excess at that
+    bracket end within a few ulps of zero; the root stop ends such segments
+    within one step, where the bisection halves the bracket until x-widths
+    fall below eps_x."""
+    rng = np.random.Generator(np.random.PCG64(90 + OBJECTIVE_FAMILIES.index(family)))
+    lengths = [40, 150, 7, 400]
+    c, d, _ = _random_boxes(rng, lengths)
+    targets = _near_box_ends(c, d, lengths, ulps)
+    obj = random_objective(rng, family, c.size)
+    counter = _StepCounter(obj.family, obj.params)
+    object.__setattr__(counter, "calls", [0, 0])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    idx = np.arange(c.size)
+    _bisect_reference(counter, idx, c, d, offsets, targets, 1e-9)
+    ref_calls = counter.calls[0]
+    counter.calls[:] = [0, 0]
+    stats = SolveStats()
+    x = solve_segments_continuous(counter, idx, c, d, offsets, targets, 1e-9, stats=stats)
+    assert stats.kernel_steps <= 1 and counter.calls[0] <= 3
+    assert ref_calls > 20
+    _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
+    assert np.all(np.abs(x - _bisect_reference(obj, idx, c, d, offsets, targets, 1e-12)) <= 1e-9)
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_root_stop_within_eps_of_tight_bisection(family):
+    """With the root stop, every coordinate stays within eps_x of a bisection
+    run to eps_x * 1e-3, inside the box, with segment sums exact up to
+    rounding; ordinary targets mix with ones a few ulps from either box end."""
+    rng = np.random.Generator(np.random.PCG64(95 + OBJECTIVE_FAMILIES.index(family)))
+    for eps_x in (1e-6, 1e-9, 1e-12):
+        for trial in range(4):
+            lengths = rng.permutation(MIXED_LENGTHS)
+            c, d, targets = _random_boxes(rng, lengths)
+            if trial % 2:
+                near = _near_box_ends(c, d, lengths, trial)
+                targets = np.where(rng.random(len(lengths)) < 0.5, near, targets)
+            obj = random_objective(rng, family, c.size)
+            offsets = np.concatenate([[0], np.cumsum(lengths)])
+            idx = np.arange(c.size)
+            x = solve_segments_continuous(obj, idx, c, d, offsets, targets, eps_x)
+            ref = _bisect_reference(obj, idx, c, d, offsets, targets, eps_x * 1e-3)
+            assert np.all(np.abs(x - ref) <= eps_x)
+            assert np.all((x >= c) & (x <= d))
+            sums = np.add.reduceat(x, offsets[:-1])
+            rounding = 8 * np.finfo(float).eps * np.add.reduceat(np.abs(x), offsets[:-1])
+            assert np.all(np.abs(sums - targets) <= rounding)
+
+
+@pytest.mark.usefixtures("illinois_everywhere")
+def test_root_stop_fills_high_side_hit_downward():
+    """A target just below the box sum hits at lam_hi, where x = d: the
+    residual comes off x_h = d in index order, so the first element gives up
+    all of it and the rest stay at their upper bounds. A fill up from x_l
+    would leave the last elements at x_l instead."""
+    n, eps_x, short = 300, 1e-6, 3e-7
+    rng = np.random.Generator(np.random.PCG64(99))
+    obj = random_objective(rng, Family.QUADRATIC, n)
+    c = rng.uniform(0.0, 1.0, n)
+    d = c + rng.uniform(0.5, 2.0, n)
+    target = d.sum() - short
+    stats = SolveStats()
+    x = solve_segments_continuous(obj, *one_segment(c, d, target), eps_x, stats=stats)
+    assert stats.kernel_steps <= 1
+    assert np.array_equal(x[1:], d[1:])
+    assert abs(x[0] - (d[0] - short)) <= 1e-12
+    ref = _bisect_reference(obj, *one_segment(c, d, target), eps_x * 1e-3)
+    assert np.all(np.abs(x - ref) <= eps_x / 2)
+
+
 @pytest.mark.parametrize("illinois", [False, True])
 def test_exhausted_search_raises(monkeypatch, illinois):
     """A search cut off by max_iter with segments still open raises rather
@@ -607,10 +696,10 @@ class _StepCounter(ObjectiveSpec):
         inv = super().inverse_map(idx)
         calls = self.calls
 
-        def counted(lam, seg_of=None):
+        def counted(lam, seg_len=None):
             calls[0] += 1
-            calls[1] += np.size(lam) if seg_of is None else seg_of.size
-            return inv(lam, seg_of)
+            calls[1] += np.size(lam) if seg_len is None else int(seg_len.sum())
+            return inv(lam, seg_len)
 
         return counted
 

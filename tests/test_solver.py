@@ -280,11 +280,11 @@ class _EvalCounter(ObjectiveSpec):
     def inverse_map(self, idx):
         inv = super().inverse_map(idx)
 
-        def counted(lam, seg_of=None):
+        def counted(lam, seg_len=None):
             if self.on[0]:
                 self.counts["inverse_calls"] += 1
-                self.counts["inverse"] += np.size(lam) if seg_of is None else seg_of.size
-            return inv(lam, seg_of)
+                self.counts["inverse"] += np.size(lam) if seg_len is None else int(seg_len.sum())
+            return inv(lam, seg_len)
 
         return counted
 
