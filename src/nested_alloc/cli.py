@@ -189,13 +189,13 @@ class BenchConfig:
 def _bench_cell(cfg: BenchConfig, family: str, n: int, m: int, trial: int):
     seed = cfg.seed + trial
     inst = generate_instance(family, n, m, seed)
-    if cfg.mode == "int":
-        inst = _scaled_integer_instance(inst, 10**6)
     row = {
         "family": family, "n": n, "m": m, "seed": seed, "solver": cfg.solver,
         "mode": cfg.mode, "epsilon": cfg.epsilon if cfg.mode == "cont" else "",
     }
     try:
+        if cfg.mode == "int":  # a box the grid collapses makes an error row
+            inst = _scaled_integer_instance(inst, 10**6)
         sol, stats = _solve_with(inst, cfg.solver, cfg.epsilon, cfg.time_limit_s)
     except SolveTimeout:
         status = "timeout"

@@ -10,6 +10,9 @@ Objective families evaluate vectorized over variable indices. For the
 continuous multiplier search, `ObjectiveSpec.inverse_map` gathers a family's
 per-variable constants once and returns x(lam) = (f')^-1(lam) as a function
 of one multiplier per segment; `inverse_derivative_at` is its per-element case.
+The integer kernel probes the same maps at single elements and prices units
+with `ObjectiveSpec.value_map`, which gathers the constants of the costs once
+per kernel call; `value_at` is its per-call case.
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ POLE_FAMILIES = (Family.CRASHING, Family.FUELOPT)
 def _at(v: np.ndarray, seg_len: np.ndarray | None) -> np.ndarray:
     """Per-segment values spread to elements (per-element values as given)."""
     return v if seg_len is None else np.repeat(v, seg_len)
+
+
+def _pick(a: np.ndarray, k: np.ndarray | None) -> np.ndarray:
+    """Per-element constants at positions k (all of them when k is None)."""
+    return a if k is None else a[k]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -148,20 +156,7 @@ class ObjectiveSpec:
     # -- vectorized API (no domain checks; poles produce +/-inf) ------------
 
     def value_at(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        fam = self.family
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if fam is Family.F:
-                p = self.params["p"][idx]
-                return 0.25 * x**4 + p * x
-            if fam is Family.CRASHING:
-                return self.params["k"][idx] + self.params["p"][idx] / x
-            if fam is Family.FUELOPT:
-                p, c = self.params["p"][idx], self.params["c"][idx]
-                return p * c**4 / x**3
-            if fam is Family.QUADRATIC:
-                w, t = self.params["w"][idx], self.params["t"][idx]
-                return w * (x - t) ** 2
-        return np.array([self.value_fn(int(i), float(v)) for i, v in zip(idx, x)])
+        return self.value_map(idx)(x)
 
     def derivative_at(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         fam = self.family
@@ -195,50 +190,86 @@ class ObjectiveSpec:
                 return 2.0 * self.params["w"][idx] * np.ones_like(x)
         raise ValueError("no closed-form curvature for custom objectives")
 
+    def value_map(
+        self, idx: np.ndarray
+    ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
+        """Costs f_{idx[k]}(x) with the family's constants gathered once.
+
+        The returned `val(x, k=None)` evaluates the elements at positions k of
+        `idx` (all of them when k is None). `value_at` is its one-off case, so
+        both give the same values bit for bit. CUSTOM objectives call
+        `value_fn` per element.
+        """
+        fam = self.family
+        if fam is Family.CUSTOM:
+            return lambda x, k=None: np.array(
+                [self.value_fn(int(i), float(v)) for i, v in zip(_pick(idx, k), x)]
+            )
+        if fam is Family.F:
+            p = self.params["p"][idx]
+            expr = lambda x, k: 0.25 * x**4 + _pick(p, k) * x
+        elif fam is Family.CRASHING:
+            kc, p = self.params["k"][idx], self.params["p"][idx]
+            expr = lambda x, k: _pick(kc, k) + _pick(p, k) / x
+        elif fam is Family.FUELOPT:
+            p, c = self.params["p"][idx], self.params["c"][idx]
+            pc4 = p * c**4
+            expr = lambda x, k: _pick(pc4, k) / x**3
+        else:
+            w, t = self.params["w"][idx], self.params["t"][idx]
+            expr = lambda x, k: _pick(w, k) * (x - _pick(t, k)) ** 2
+
+        def val(x, k=None):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return expr(x, k)
+
+        return val
+
     def inverse_derivative_at(self, idx: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
         """Solve f'_i(x) = lam for x, unclamped. None if no closed form."""
         inv = self.inverse_map(idx)
         return None if inv is None else inv(lam)
 
-    def inverse_map(
-        self, idx: np.ndarray
-    ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None:
+    def inverse_map(self, idx: np.ndarray) -> Callable[..., np.ndarray] | None:
         """Unclamped x_k(lam) = (f'_{idx[k]})^-1(lam), constants gathered once.
 
-        The returned `inv(lam, seg_len=None)` takes one multiplier per segment
-        of consecutive elements, segment j holding seg_len[j] of them, and
-        evaluates each element at its segment's multiplier (element k at
+        The returned `inv(lam, seg_len=None, k=None)` takes one multiplier per
+        segment of consecutive elements, segment j holding seg_len[j] of them,
+        and evaluates each element at its segment's multiplier (element k at
         lam[k] when seg_len is None). Work that depends on lam alone runs on
         the per-segment array, which leaves a run-length spread and one or two
-        arithmetic operations per element. The pole families give +inf for
-        lam >= 0 and 0 at lam = -inf. None for CUSTOM, which has no closed
-        form.
+        arithmetic operations per element. Given positions `k` (and no
+        seg_len), it evaluates only the elements at positions k of `idx`,
+        element k[j] at lam[j]. The pole families give +inf for lam >= 0 and 0
+        at lam = -inf. None for CUSTOM, which has no closed form.
         """
         fam = self.family
         if fam is Family.CUSTOM:
             return None
         if fam is Family.F:
             p = self.params["p"][idx]
-            return lambda lam, seg_len=None: np.cbrt(_at(lam, seg_len) - p)
+            return lambda lam, seg_len=None, k=None: np.cbrt(_at(lam, seg_len) - _pick(p, k))
         if fam is Family.QUADRATIC:
             t = self.params["t"][idx]
             two_w = 2.0 * self.params["w"][idx]
-            return lambda lam, seg_len=None: t + _at(lam, seg_len) / two_w
+            return lambda lam, seg_len=None, k=None: (
+                _pick(t, k) + _at(lam, seg_len) / _pick(two_w, k)
+            )
         if fam is Family.CRASHING:
             p = self.params["p"][idx]
 
-            def inv(lam, seg_len=None):  # x = sqrt(p / -lam)
+            def inv(lam, seg_len=None, k=None):  # x = sqrt(p / -lam)
                 with np.errstate(divide="ignore"):
-                    x = p / _at(np.maximum(-lam, 0.0), seg_len)
+                    x = _pick(p, k) / _at(np.maximum(-lam, 0.0), seg_len)
                 return np.sqrt(x, out=x)
 
             return inv
         p, c = self.params["p"][idx], self.params["c"][idx]
         g = (3.0 * p * c**4) ** 0.25
 
-        def inv(lam, seg_len=None):  # x = (3 p c^4 / -lam)^(1/4)
+        def inv(lam, seg_len=None, k=None):  # x = (3 p c^4 / -lam)^(1/4)
             with np.errstate(divide="ignore"):
-                return g / _at(np.sqrt(np.sqrt(np.maximum(-lam, 0.0))), seg_len)
+                return _pick(g, k) / _at(np.sqrt(np.sqrt(np.maximum(-lam, 0.0))), seg_len)
 
         return inv
 
@@ -373,7 +404,7 @@ class SolveStats:
     `kernel_steps` sums the multiplier steps of every RAP kernel call.
     `kernel_evals` counts per-element objective evaluations inside the
     kernels: x(lam) evaluations plus the bracket's derivatives in continuous
-    mode, unit marginals in integer mode.
+    mode, unit marginals plus the probe's continuous points in integer mode.
     """
 
     rap_calls: int = 0

@@ -32,10 +32,17 @@ invert f' by inner bisection. A search that still has open segments after
 kernel runs the same search over unit marginal costs f_i(t) - f_i(t-1). It
 keeps the unit allocations at both bracket ends, so each step searches only
 between them, and stops once they differ by at most one unit per element (or
-the bracket ends are adjacent doubles). The few residual units then go out in
-greedy order, ascending marginal with the lowest index first, the order in
-which the heap greedy oracle `oracles.rap_integer_greedy` hands them out one at
-a time.
+the bracket ends are adjacent doubles). At a multiplier lam an element takes
+the largest unit t whose marginal is <= lam. By convexity t lies within one
+unit of the continuous point x_c = (f')^-1(lam) (Hochbaum's proximity), so a
+step probes g = round(x_c), taken from the inverse map at the open elements,
+and checks two marginals: unit g qualifies and unit g + 1 does not. The checks
+price units with the costs of `ObjectiveSpec.value_map`, the arithmetic of the
+greedy oracle, so a probe can only narrow an element's unit range; the few
+elements it leaves open, and all elements of CUSTOM objectives, which have no
+map, are halved. The few residual units then go out in greedy order,
+ascending marginal with the lowest index first, the order in which the heap
+greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
@@ -43,7 +50,9 @@ indices of the owning objective. Both kernels gather their open segments into
 compact arrays with `_select_segments`, and the continuous kernel uses it again
 to finish converged segments and to drop them from the working set. Given a
 `SolveStats`, a kernel adds its multiplier steps to `kernel_steps` and its
-per-element objective evaluations to `kernel_evals`.
+per-element objective evaluations to `kernel_evals`: x(lam) and the bracket's
+derivatives in the continuous kernel, unit marginals and probed continuous
+points in the integer kernel.
 """
 
 from __future__ import annotations
@@ -364,26 +373,38 @@ def _waterfill(x, hi, offsets, leftover, which):
     return x
 
 
-def _unit_marginal(obj, idx, t, stats):
-    """Cost of unit t: f(t) - f(t - 1), as the heap greedy prices it."""
-    stats.kernel_evals += idx.size
-    return obj.value_at(idx, t) - obj.value_at(idx, t - 1.0)
-
-
-def _int_alloc(obj, idx, tl, th, lam_e, stats):
+def _int_alloc(marginal, k, tl, th, lam_k, guess):
     """Largest integer t in [tl, th] whose unit marginal stays <= lam, given
-    that unit tl already qualifies (or is the box floor). Converged elements
-    drop out of the halving, so each step evaluates only the open ones."""
+    that unit tl already qualifies (or is the box floor).
+
+    `marginal(t, k)` prices unit t of the elements at positions k. Where the
+    continuous point x_c = (f')^-1(lam) in `guess` is finite, a probe tries
+    g = clamp(floor(x_c + 0.5), tl, th): unit g must qualify and unit g + 1
+    must not. By convexity the answer lies within a unit of x_c, so both
+    checks nearly always pass and close the element; either way they narrow
+    [tl, th]. A halving then finishes the elements left open, each step
+    evaluating only those.
+    """
     tl = tl.copy()
     th = th.copy()
-    k = np.flatnonzero(tl < th)
-    while k.size:
-        a, b, i = tl[k], th[k], idx[k]
-        tm = np.floor((a + b + 1.0) * 0.5)
-        ok = _unit_marginal(obj, i, tm, stats) <= lam_e[k]
-        tl[k] = np.where(ok, tm, a)
-        th[k] = np.where(ok, b, tm - 1.0)
-        k = k[tl[k] < th[k]]
+
+    def split(q, t):
+        """Narrow elements q at unit t: tl = t if it qualifies, else th = t - 1."""
+        ok = marginal(t, k[q]) <= lam_k[q]
+        tl[q] = np.where(ok, t, tl[q])
+        th[q] = np.where(ok, th[q], t - 1.0)
+
+    if guess is not None:
+        g = np.clip(np.floor(guess + 0.5), tl, th)
+        g[~np.isfinite(guess)] = np.nan  # compares false: no probe
+        q = np.flatnonzero(g > tl)  # unit tl qualifies already
+        split(q, g[q])
+        q = np.flatnonzero(g < th)  # unit g qualifies here
+        split(q, g[q] + 1.0)
+    o = np.flatnonzero(tl < th)
+    while o.size:
+        split(o, np.floor((tl[o] + th[o] + 1.0) * 0.5))
+        o = o[tl[o] < th[o]]
     return tl
 
 
@@ -401,11 +422,13 @@ def solve_segments_integer(
 
     Bisects each segment's multiplier bracket [lam_lo, lam_hi] while keeping
     x_l = x(lam_lo) and x_h = x(lam_hi); x is monotone in lam, so a midpoint
-    only searches [x_l, x_h]. A segment stops once every x_h - x_l <= 1 or
-    its bracket ends are adjacent doubles. Its residual units all have
-    marginals in (lam_lo, lam_hi] and go out in greedy order: ascending
-    next-unit marginal, lowest index first. At adjacent doubles those
-    marginals are all equal, so that order is plain index order.
+    only searches [x_l, x_h], with `_int_alloc`: a probe at the rounded
+    continuous point (f')^-1(lam), then halving where the probe leaves an
+    element open. A segment stops once every x_h - x_l <= 1 or its bracket
+    ends are adjacent doubles. Its residual units all have marginals in
+    (lam_lo, lam_hi] and go out in greedy order: ascending next-unit
+    marginal, lowest index first. At adjacent doubles those marginals are all
+    equal, so that order is plain index order.
     """
     x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
     if not open_seg.any():
@@ -418,11 +441,17 @@ def solve_segments_integer(
     )
     seg_tgt = targets[open_seg]
     starts = seg_off[:-1]
-    seg_of = np.repeat(np.arange(seg_len.size), seg_len)
+    val = obj.value_map(e_idx)
+    inv = obj.inverse_map(e_idx)
+
+    def marginal(t, k=None):
+        """Unit marginals f(t) - f(t - 1) of the elements at positions k."""
+        stats.kernel_evals += e_idx.size if k is None else k.size
+        return val(t, k) - val(t - 1.0, k)
 
     free = e_hi > e_lo
-    first = _unit_marginal(obj, e_idx, e_lo + 1.0, stats)
-    last = _unit_marginal(obj, e_idx, e_hi, stats)
+    first = marginal(e_lo + 1.0)
+    last = marginal(e_hi)
     # x(lam_lo) = e_lo and x(lam_hi) = e_hi without evaluating anything
     lam_lo = np.nextafter(np.minimum.reduceat(np.where(free, first, np.inf), starts), -np.inf)
     lam_hi = np.maximum.reduceat(np.where(free, last, -np.inf), starts)
@@ -437,8 +466,13 @@ def solve_segments_integer(
         if not live.any():
             break
         work = np.flatnonzero(np.repeat(live, seg_len) & (x_h > x_l))
+        lam_w = np.repeat(lam, seg_len)[work]
+        guess = None
+        if inv is not None:
+            stats.kernel_evals += work.size
+            guess = inv(lam_w, k=work)
         xm = x_l.copy()
-        xm[work] = _int_alloc(obj, e_idx[work], x_l[work], x_h[work], lam[seg_of[work]], stats)
+        xm[work] = _int_alloc(marginal, work, x_l[work], x_h[work], lam_w, guess)
         ge = np.add.reduceat(xm, starts) >= seg_tgt
         move_hi = live & ge
         move_lo = live & ~ge
@@ -454,7 +488,8 @@ def solve_segments_integer(
     gaps = x_h - x_l
     cand = np.flatnonzero(gaps > 0)
     marg = np.full(gaps.shape, np.inf)
-    marg[cand] = _unit_marginal(obj, e_idx[cand], x_l[cand] + 1.0, stats)
+    marg[cand] = marginal(x_l[cand] + 1.0, cand)
+    seg_of = np.repeat(np.arange(seg_len.size), seg_len)
     order = np.lexsort((marg, seg_of))  # stable: equal marginals keep index order
     resid = seg_tgt - np.add.reduceat(x_l, starts)
     x = np.empty_like(x_l)

@@ -185,6 +185,18 @@ class TestBench:
         assert optimal and all(r["verified"] == "True" for r in optimal)
         assert all(r["verified"] == "" for r in rows if r["status"] != "optimal")
 
+    def test_collapsed_integer_box_is_an_error_row(self, tmp_path):
+        """crashing n = 20000 seed 14 has a box the 1e6 grid collapses: its
+        cell gets an error row and the sweep goes on to the next cell."""
+        cfg, out = self.make_config(
+            tmp_path, families=["crashing"], n_list=[20000, 16], trials=1, seed=14, mode="int"
+        )
+        assert run(["bench", cfg]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["n"], r["status"]) for r in rows[:2]] == [("20000", "error"), ("20000", "aggregate")]
+        assert rows[2]["n"] == "16" and rows[2]["status"] in ("optimal", "infeasible")
+        assert rows[3]["status"] == "aggregate" and len(rows) == 4
+
     def test_determinism_modulo_wall_ms(self, tmp_path):
         cfg, out = self.make_config(tmp_path)
         run(["bench", cfg])

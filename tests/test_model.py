@@ -172,6 +172,13 @@ class TestInverseMap:
         back = spec.derivative_at(idx, x)
         assert np.all(np.abs(back - lam_e) <= 1e-12 * np.abs(lam_e))
 
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_positions_select_elements(self, family, rng):
+        spec, idx, lam, seg_len, lam_e = self._case(rng, family)
+        k = rng.integers(0, idx.size, 80)
+        x = spec.inverse_map(idx)(lam_e[k], k=k)
+        assert np.array_equal(x, spec.inverse_map(idx)(lam, seg_len)[k])
+
     @pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])
     def test_pole_families_at_the_ends(self, family, rng):
         spec = random_objective(rng, family, 5)
@@ -198,6 +205,69 @@ class TestInverseMap:
             spec, np.arange(3), c, d, np.array([0, 3]), np.array([6.0]), 1e-9
         )
         assert calls and np.allclose(x, [2.0, 2.0, 2.0], atol=1e-8)
+
+
+def _parent_value(spec, idx, x):
+    """`value_at` as it was before value maps, kept verbatim as the
+    reference for the map formulas: integer answers depend on their bits."""
+    fam = spec.family
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if fam is Family.F:
+            p = spec.params["p"][idx]
+            return 0.25 * x**4 + p * x
+        if fam is Family.CRASHING:
+            return spec.params["k"][idx] + spec.params["p"][idx] / x
+        if fam is Family.FUELOPT:
+            p, c = spec.params["p"][idx], spec.params["c"][idx]
+            return p * c**4 / x**3
+        if fam is Family.QUADRATIC:
+            w, t = spec.params["w"][idx], spec.params["t"][idx]
+            return w * (x - t) ** 2
+    return None
+
+
+class TestValueMap:
+    """`value_map` prices units for the integer kernel, and the heap greedy
+    prices them with the scalar `value`: the two must agree bit for bit, and
+    with the formulas integer answers were computed with before the maps."""
+
+    N = 300
+
+    def _case(self, rng, family):
+        """Positions into 200 of N variables, repeats included, at integer
+        points: small ones, the pole at 0 for the pole families, and ones
+        just below 2^53."""
+        spec = random_objective(rng, family, self.N)
+        idx = rng.permutation(self.N)[:200]
+        k = rng.integers(0, idx.size, 120)
+        lo = 0 if family in (Family.CRASHING, Family.FUELOPT) else -5
+        x = rng.integers(lo, 50, k.size).astype(float)
+        x[::3] = 2.0**53 - rng.integers(0, 64, x[::3].size)
+        x[1::7] = 0.0
+        return spec, idx, k, x
+
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_map_equals_value_at_and_value(self, family, rng):
+        spec, idx, k, x = self._case(rng, family)
+        v = spec.value_map(idx)(x, k)
+        assert np.array_equal(v, spec.value_at(idx[k], x))
+        assert np.array_equal(v, _parent_value(spec, idx[k], x))
+        scalar = [spec.value(int(i), float(t)) for i, t in zip(idx[k], x)]
+        assert np.array_equal(v, scalar)
+        if family in (Family.CRASHING, Family.FUELOPT):
+            assert np.all(v[x == 0.0] == np.inf)
+
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_all_elements_without_positions(self, family, rng):
+        spec, idx, _, _ = self._case(rng, family)
+        x = rng.integers(1, 2**53, idx.size).astype(float)
+        assert np.array_equal(spec.value_map(idx)(x), spec.value_at(idx, x))
+
+    def test_custom_calls_value_fn(self):
+        spec = ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: i * 10.0 + x)
+        val = spec.value_map(np.array([3, 5, 7]))
+        assert val(np.array([1.0, 2.0]), np.array([2, 0])).tolist() == [71.0, 32.0]
+        assert val(np.array([0.0, 0.0, 0.0])).tolist() == [30.0, 50.0, 70.0]
 
 
 class TestValidation:

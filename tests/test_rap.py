@@ -330,6 +330,61 @@ def test_kernel_linear_custom_fills_in_index_order():
     _assert_matches_greedy(obj, c, d, target)
 
 
+class _SkewedProbe(ObjectiveSpec):
+    """Hands the integer kernel wrong continuous points: `skew(x_c, rng)`
+    replaces each x_c the inverse maps give, and `calls` counts the maps'
+    calls."""
+
+    def inverse_map(self, idx):
+        inv = super().inverse_map(idx)
+
+        def skewed(lam, seg_len=None, k=None):
+            self.calls[0] += 1
+            return self.skew(inv(lam, seg_len, k), self.rng)
+
+        return skewed
+
+
+PROBE_SKEWS = {
+    "plus3": lambda x, rng: x + 3.0,
+    "minus3": lambda x, rng: x - 3.0,
+    "nan": lambda x, rng: np.full_like(x, np.nan),
+    "+inf": lambda x, rng: np.full_like(x, np.inf),
+    "-inf": lambda x, rng: np.full_like(x, -np.inf),
+    "mixed": lambda x, rng: x + rng.choice([-3.0, 3.0, 0.0, np.nan, np.inf, -np.inf], x.size),
+}
+
+
+@pytest.mark.parametrize("skew", list(PROBE_SKEWS))
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_wrong_probe_still_exact(family, skew):
+    """The probe at the rounded continuous point only narrows each unit
+    bracket after checking it: continuous points off by three units, NaN or
+    infinite still give the greedy's allocation bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(80 + OBJECTIVE_FAMILIES.index(family)))
+    lo_base = 1 if family in (Family.CRASHING, Family.FUELOPT) else 0
+    for _ in range(6):
+        n = int(rng.integers(2, 25))
+        c, d, target = _wide_box(rng, n, lo_base)
+        obj = _SkewedProbe(family, random_objective(rng, family, n).params)
+        object.__setattr__(obj, "skew", PROBE_SKEWS[skew])
+        object.__setattr__(obj, "rng", rng)
+        object.__setattr__(obj, "calls", [0])
+        _assert_matches_greedy(obj, c, d, target)
+        assert obj.calls[0] > 0
+
+
+def test_custom_without_probe_matches_greedy():
+    """CUSTOM objectives have no inverse map, so every unit bracket is halved
+    from the start; wide boxes still match the greedy bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(90))
+    w = rng.uniform(0.3, 2.0, 24)
+    obj = ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: w[i] * (x - 7.0) ** 2)
+    for _ in range(4):
+        c, d, target = _wide_box(rng, int(rng.integers(2, 25)), 0)
+        _assert_matches_greedy(obj, c, d, target)
+
+
 # -- continuous kernel against the bisection it replaced -------------------
 
 

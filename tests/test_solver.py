@@ -274,17 +274,28 @@ def test_kernel_output_outside_box_raises(monkeypatch):
 
 class _EvalCounter(ObjectiveSpec):
     """Counts per-element evaluations while `on`: x(lam) elements of the
-    maps `inverse_map` hands out, derivative elements, and value elements
-    (a unit marginal takes two)."""
+    maps `inverse_map` hands out, value elements of the maps `value_map`
+    hands out (a unit marginal takes two), derivative elements, and
+    `value_at` elements."""
 
     def inverse_map(self, idx):
         inv = super().inverse_map(idx)
 
-        def counted(lam, seg_len=None):
+        def counted(lam, seg_len=None, k=None):
             if self.on[0]:
                 self.counts["inverse_calls"] += 1
                 self.counts["inverse"] += np.size(lam) if seg_len is None else int(seg_len.sum())
-            return inv(lam, seg_len)
+            return inv(lam, seg_len, k)
+
+        return counted
+
+    def value_map(self, idx):
+        val = super().value_map(idx)
+
+        def counted(x, k=None):
+            if self.on[0]:
+                self.counts["value"] += np.size(x)
+            return val(x, k)
 
         return counted
 
@@ -295,27 +306,26 @@ class _EvalCounter(ObjectiveSpec):
 
     def value_at(self, idx, x):
         if self.on[0]:
-            self.counts["value"] += idx.size
+            self.counts["value_at"] += idx.size
         return super().value_at(idx, x)
 
 
 @pytest.mark.parametrize("mode", ["cont", "int"])
 def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
     """`SolveStats.kernel_steps` and `kernel_evals` equal what a counting
-    objective sees inside the kernels: map calls less the two bracket ends
-    per call with open segments (continuous) or `_int_alloc` calls (integer)
-    for the steps; map plus derivative elements, or value elements over two,
-    for the evaluations."""
+    objective sees inside the kernels. Steps: map calls less the two bracket
+    ends per call with open segments (continuous), or one map call per step
+    (integer). Evaluations: map plus derivative elements (continuous), or
+    map elements plus value-map elements over two (integer)."""
     inst = generate_instance("crashing", 300, 300, 4)
     if mode == "int":
         inst = _scaled_integer_instance(inst, 1e6)
     counter = _EvalCounter(inst.objective.family, inst.objective.params)
     object.__setattr__(counter, "on", [False])
-    kinds = ("inverse_calls", "inverse", "derivative", "value")
+    kinds = ("inverse_calls", "inverse", "derivative", "value", "value_at")
     object.__setattr__(counter, "counts", dict.fromkeys(kinds, 0))
     inst = dataclasses.replace(inst, objective=counter)
     open_calls = [0]
-    alloc_calls = [0]
 
     def counting(kernel):
         def wrapped(obj, idx, lo, hi, offsets, targets, *args):
@@ -328,26 +338,22 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
 
         return wrapped
 
-    def int_alloc(*args):
-        alloc_calls[0] += 1
-        return real_int_alloc(*args)
-
-    real_int_alloc = rap_module._int_alloc
-    monkeypatch.setattr(rap_module, "_int_alloc", int_alloc)
     for name in ("solve_segments_continuous", "solve_segments_integer"):
         monkeypatch.setattr(solver_mod, name, counting(getattr(solver_mod, name)))
     sol, stats = solve(inst, 1e-8 if mode == "cont" else None)
     assert sol.status is Status.OPTIMAL
     counts = counter.counts
+    assert open_calls[0] > 0 and counts["value_at"] == 0
     if mode == "cont":
-        assert open_calls[0] > 0 and counts["value"] == 0
+        assert counts["value"] == 0
         assert stats.kernel_steps == counts["inverse_calls"] - 2 * open_calls[0] > 0
         assert stats.kernel_evals == counts["inverse"] + counts["derivative"]
         assert counts["inverse"] > counts["derivative"] > 0
     else:
-        assert counts["inverse_calls"] == counts["derivative"] == 0
-        assert stats.kernel_steps == alloc_calls[0] > 0
-        assert stats.kernel_evals * 2 == counts["value"] > 0
+        assert counts["derivative"] == 0
+        assert stats.kernel_steps == counts["inverse_calls"] > 0
+        assert stats.kernel_evals * 2 == 2 * counts["inverse"] + counts["value"]
+        assert counts["value"] > counts["inverse"] > 0
 
 
 class TestUnboundedBoxes:
