@@ -21,7 +21,7 @@ import numpy as np
 
 from .generators import InstanceFamily, generate_instance
 from .hull import HullEligibilityError, HullNotApplicableError, hull_solve_instance
-from .io import read_instance, read_solution, write_instance, write_solution
+from .io import read_instance, read_solution, stats_doc, write_instance, write_solution
 from .model import (
     Mode,
     NestedInstance,
@@ -143,13 +143,7 @@ def cmd_solve(args) -> int:
         sys.stdout.write(payload.decode())
         sys.stdout.write("\n")
     if args.stats:
-        print(
-            f"status={sol.status.value} rap_calls={stats.rap_calls} "
-            f"levels={stats.recursion_levels} active={stats.active_constraints} "
-            f"kernel_steps={stats.kernel_steps} kernel_evals={stats.kernel_evals} "
-            f"wall_ms={stats.wall_ms:.3f}",
-            file=sys.stderr,
-        )
+        print(json.dumps({"status": sol.status.value, **stats_doc(stats)}), file=sys.stderr)
     return 0 if sol.status is Status.OPTIMAL else 2
 
 

@@ -1,12 +1,23 @@
 """JSON serialization of instances and solutions.
 
-Instance schema (arrays are 0-indexed on the wire, "a" has length m-1,
-numbers keep full precision via shortest-roundtrip floats):
+Instance schema (arrays are 0-indexed on the wire, "a" has length m-1):
 
     {"n": int, "m": int, "s": [int], "a": [num], "B": num,
      "lower": [num], "upper": [num], "mode": "integer"|"continuous",
      "objective": {"family": "f"|"crashing"|"fuelopt"|"quadratic",
                    "params": {...per family}}}
+
+Writers hand the numpy arrays to orjson, which prints each double as its
+shortest round-trip decimal straight from the array buffer, in compact form
+(`0.00001`, `1e16`, `-0.0`). orjson would print inf and NaN as `null`, so a
+document holding a non-finite float (a continuous `upper = inf`, an `inf`
+objective) goes through `json.dumps` instead, which spells them `Infinity`
+and `NaN`. Readers parse with orjson and fall back to `json.loads` for text
+orjson rejects, such as those literals. Either way every value reads back
+bit for bit, the sign of zero included.
+
+Every array field goes through one checker: a flat list of numbers, of
+integers for `s`, or a ValidationError naming the field.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ import math
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .model import (
     Family,
@@ -30,25 +42,39 @@ from .model import (
 )
 
 
+def _all_finite(val: Any) -> bool:
+    """No inf or NaN anywhere in a document of dicts, arrays and scalars."""
+    if isinstance(val, dict):
+        return all(_all_finite(v) for v in val.values())
+    if isinstance(val, np.ndarray):
+        return val.dtype.kind != "f" or bool(np.isfinite(val).all())
+    return not isinstance(val, float) or math.isfinite(val)
+
+
+def _dumps(doc: dict) -> bytes:
+    if _all_finite(doc):
+        return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY)
+    return json.dumps(doc, default=lambda v: v.tolist()).encode("utf-8")
+
+
 def write_instance(inst: NestedInstance) -> bytes:
     """Serialize an instance to JSON bytes. CUSTOM objectives do not travel."""
     if inst.objective.family is Family.CUSTOM:
         raise ValidationError("objective", "custom objectives are not serializable")
-    doc = {
+    return _dumps({
         "n": inst.n,
         "m": inst.m,
-        "s": inst.s.tolist(),
-        "a": inst.a.tolist(),
+        "s": inst.s,
+        "a": inst.a,
         "B": inst.B,
-        "lower": inst.lower.tolist(),
-        "upper": inst.upper.tolist(),
+        "lower": inst.lower,
+        "upper": inst.upper,
         "mode": inst.mode.value,
         "objective": {
             "family": inst.objective.family.value,
-            "params": {k: v.tolist() for k, v in inst.objective.params.items()},
+            "params": inst.objective.params,
         },
-    }
-    return json.dumps(doc).encode("utf-8")
+    })
 
 
 def _require(doc: dict, key: str, kinds, where: str = "instance") -> Any:
@@ -60,11 +86,33 @@ def _require(doc: dict, key: str, kinds, where: str = "instance") -> Any:
     return val
 
 
+def _array(doc: dict, key: str, where: str = "instance", integral: bool = False) -> np.ndarray:
+    """doc[key] as a 1-D float64 array, or int64 when `integral`. Anything but
+    a flat list of numbers (of integral values when `integral`) is refused."""
+    val = _require(doc, key, list, where)
+    try:
+        arr = np.asarray(val)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValidationError(key, "expected a flat list of numbers")
+    if not integral:
+        return arr.astype(np.float64, copy=False)
+    with np.errstate(invalid="ignore"):  # non-finite or out of range: unequal below
+        ints = arr.astype(np.int64)
+    if not np.array_equal(ints, arr):
+        raise ValidationError(key, "expected a flat list of integers")
+    return ints
+
+
 def _load_object(data: bytes | str) -> dict:
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ValidationError("json", f"not valid JSON: {exc}") from exc
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:  # Infinity/NaN literals among others
+        try:
+            doc = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ValidationError("json", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("json", "top level must be an object")
     return doc
@@ -82,11 +130,11 @@ def read_instance(data: bytes | str) -> NestedInstance:
     doc = _load_object(data)
     n = _require(doc, "n", int)
     m = _require(doc, "m", int)
-    s = _require(doc, "s", list)
-    a = _require(doc, "a", list)
+    s = _array(doc, "s", integral=True)
+    a = _array(doc, "a")
     B = _require(doc, "B", (int, float))
-    lower = _require(doc, "lower", list)
-    upper = _require(doc, "upper", list)
+    lower = _array(doc, "lower")
+    upper = _array(doc, "upper")
     mode = _require(doc, "mode", str)
     try:
         mode = Mode(mode)
@@ -101,33 +149,36 @@ def read_instance(data: bytes | str) -> NestedInstance:
     if family is Family.CUSTOM:
         raise ValidationError("objective.family", "custom objectives are not serializable")
     params_doc = _require(obj_doc, "params", dict, where="objective")
-    params = {}
-    for key in _PARAM_KEYS[family]:
-        arr = _require(params_doc, key, list, where=f"objective.params for '{fam_tag}'")
-        params[key] = np.asarray(arr, dtype=np.float64)
+    where = f"objective.params for '{fam_tag}'"
+    params = {key: _array(params_doc, key, where) for key in _PARAM_KEYS[family]}
     objective = ObjectiveSpec(family, params)
     return NestedInstance(
         n=n, m=m, s=s, a=a, B=B, lower=lower, upper=upper, objective=objective, mode=mode
     )
 
 
+def stats_doc(stats: SolveStats) -> dict:
+    """The `stats` object of a solution document."""
+    return {
+        "rap_calls": stats.rap_calls,
+        "recursion_levels": stats.recursion_levels,
+        "active_constraints": stats.active_constraints,
+        "wall_ms": stats.wall_ms,
+        "kernel_steps": stats.kernel_steps,
+        "kernel_evals": stats.kernel_evals,
+    }
+
+
 def write_solution(sol: Solution, stats: SolveStats | None = None) -> bytes:
     doc = {
         "status": sol.status.value,
-        "x": None if sol.x is None else sol.x.tolist(),
+        "x": sol.x,
         "objective": sol.objective if sol.x is not None else None,
         "epsilon": sol.epsilon,
     }
     if stats is not None:
-        doc["stats"] = {
-            "rap_calls": stats.rap_calls,
-            "recursion_levels": stats.recursion_levels,
-            "active_constraints": stats.active_constraints,
-            "wall_ms": stats.wall_ms,
-            "kernel_steps": stats.kernel_steps,
-            "kernel_evals": stats.kernel_evals,
-        }
-    return json.dumps(doc).encode("utf-8")
+        doc["stats"] = stats_doc(stats)
+    return _dumps(doc)
 
 
 def read_solution(data: bytes | str) -> Solution:
@@ -139,15 +190,7 @@ def read_solution(data: bytes | str) -> Solution:
         status = Status(tag)
     except ValueError:
         raise ValidationError("status", f"unknown status {tag!r}") from None
-    x = doc.get("x")
-    if x is not None:
-        try:
-            x = np.asarray(x) if isinstance(x, list) else None
-        except ValueError:  # ragged nesting
-            x = None
-        if x is None or x.ndim != 1 or x.dtype.kind not in "iuf":
-            raise ValidationError("x", "expected null or a flat list of numbers")
-        x = x.astype(np.float64, copy=False)
+    x = None if doc.get("x") is None else _array(doc, "x", where="solution")
     if status is Status.OPTIMAL and x is None:
         raise ValidationError("x", "optimal solution must carry an allocation")
     objective = _optional_number(doc, "objective")

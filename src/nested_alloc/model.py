@@ -285,8 +285,8 @@ class NestedInstance:
 
     `s` holds the m breakpoint positions (1-based, strictly increasing,
     s[-1] == n); `a` the m-1 interior partial-sum bounds. Upper bounds may be
-    +inf in continuous mode. Interior bounds larger than B are legal and get
-    capped during tightening.
+    +inf in continuous mode, never NaN. Interior bounds larger than B are
+    legal and get capped during tightening.
     """
 
     n: int
@@ -333,11 +333,15 @@ class NestedInstance:
             raise ValidationError("lower", f"bound arrays must have length {n}")
         if not np.all(np.isfinite(lo)) or np.any(lo < 0):
             raise ValidationError("lower", "lower bounds must be finite and nonnegative")
+        if np.any(np.isnan(up)):
+            raise ValidationError("upper", "upper bounds must not be NaN")
         if np.any(up < lo):
             raise ValidationError("upper", "need lower <= upper for every variable")
         obj = self.objective
         if obj.n is not None and obj.n != n:
             raise ValidationError("objective", f"parameter arrays have length {obj.n}, expected {n}")
+        if not all(np.all(np.isfinite(v)) for v in obj.params.values()):
+            raise ValidationError("objective", "parameters must be finite")
         if obj.family is Family.CRASHING and np.any(obj.params["p"] <= 0):
             raise ValidationError("objective", "crashing needs p > 0")
         if obj.family is Family.FUELOPT and (

@@ -74,9 +74,20 @@ class TestSolve:
                             eps=1e-8 if mode == "cont" else None)
         assert stats["kernel_steps"] == expected.kernel_steps > 0
         assert stats["kernel_evals"] == expected.kernel_evals > 0
-        line = capsys.readouterr().err
-        assert f"kernel_steps={expected.kernel_steps} " in line
-        assert f"kernel_evals={expected.kernel_evals} " in line
+        line = json.loads(capsys.readouterr().err)
+        assert line == {"status": "optimal", **stats}
+
+    def test_malformed_array_is_a_clean_error(self, tmp_path, capsys):
+        doc = {
+            "n": 2, "m": 2, "s": [1, 2], "a": [1.0], "B": 4.0,
+            "lower": [0.0, "0"], "upper": [3.0, 3.0], "mode": "continuous",
+            "objective": {"family": "quadratic", "params": {"w": [1.0, 1.0], "t": [0.0, 0.0]}},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lower: ") and "Traceback" not in err
 
     def test_infeasible_exit_code(self, tmp_path):
         doc = {

@@ -337,6 +337,22 @@ class TestValidation:
             make_instance(objective=quad_spec(3))
         assert exc.value.field == "objective"
 
+    def test_nan_upper_rejected(self):
+        # NaN compares False against lower, so only an explicit check catches it
+        with pytest.raises(ValidationError) as exc:
+            make_instance(upper=[math.nan, 3.0])
+        assert exc.value.field == "upper"
+
+    def test_infinite_upper_allowed(self):
+        assert make_instance(upper=[math.inf, 3.0]).upper[0] == math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_param_rejected(self, bad):
+        spec = ObjectiveSpec(Family.QUADRATIC, {"w": np.ones(2), "t": np.array([0.0, bad])})
+        with pytest.raises(ValidationError) as exc:
+            make_instance(objective=spec)
+        assert exc.value.field == "objective"
+
 
 class TestImmutability:
     def test_arrays_read_only(self):
