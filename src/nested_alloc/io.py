@@ -17,7 +17,11 @@ orjson rejects, such as those literals. Either way every value reads back
 bit for bit, the sign of zero included.
 
 Every array field goes through one checker: a flat list of numbers, of
-integers for `s`, or a ValidationError naming the field.
+integers for `s`, or a ValidationError naming the field. JSON booleans are
+not numbers, although Python's `bool` is an `int`: `n`, `m`, `B` and every
+array element refuse them. Looking at each element's type costs about 36 ms
+per 1e6 numbers, so arrays are scanned only when the document's text holds a
+`true` or `false` literal.
 """
 
 from __future__ import annotations
@@ -81,15 +85,21 @@ def _require(doc: dict, key: str, kinds, where: str = "instance") -> Any:
     if key not in doc:
         raise ValidationError(key, f"missing from {where} JSON")
     val = doc[key]
-    if not isinstance(val, kinds):
+    if isinstance(val, bool) or not isinstance(val, kinds):
         raise ValidationError(key, f"expected {kinds}, got {type(val).__name__}")
     return val
 
 
-def _array(doc: dict, key: str, where: str = "instance", integral: bool = False) -> np.ndarray:
+def _array(
+    doc: dict, key: str, where: str = "instance", integral: bool = False, scan: bool = False
+) -> np.ndarray:
     """doc[key] as a 1-D float64 array, or int64 when `integral`. Anything but
-    a flat list of numbers (of integral values when `integral`) is refused."""
+    a flat list of numbers (of integral values when `integral`) is refused.
+    `scan` looks for booleans, which `np.asarray` would read as 0 and 1 among
+    numbers; pass it when the document's text may hold one."""
     val = _require(doc, key, list, where)
+    if scan and any(type(v) is bool for v in val):
+        raise ValidationError(key, "expected a flat list of numbers, got a boolean")
     try:
         arr = np.asarray(val)
     except ValueError:  # ragged nesting
@@ -105,7 +115,9 @@ def _array(doc: dict, key: str, where: str = "instance", integral: bool = False)
     return ints
 
 
-def _load_object(data: bytes | str) -> dict:
+def _load_object(data: bytes | str) -> tuple[dict, bool]:
+    """The document's top-level object, and whether its text holds a `true`
+    or `false` literal."""
     try:
         doc = orjson.loads(data)
     except orjson.JSONDecodeError:  # Infinity/NaN literals among others
@@ -115,7 +127,20 @@ def _load_object(data: bytes | str) -> dict:
             raise ValidationError("json", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("json", "top level must be an object")
-    return doc
+    return doc, any(_holds(data, lit) for lit in ("true", "false"))
+
+
+def _holds(data: bytes | str, literal: str) -> bool:
+    """`literal in data` for "true" or "false", looked for at each occurrence
+    of its third letter. No number, `Infinity` and `NaN` included, holds the
+    u of "true" or the l of "false", so this runs at `memchr` speed where a
+    plain substring search would crawl over the exponents' e's."""
+    if not isinstance(data, str):
+        literal = literal.encode()
+    i = data.find(literal[2:3], 2)
+    while i >= 0 and not data.startswith(literal, i - 2):
+        i = data.find(literal[2:3], i + 1)
+    return i >= 0
 
 
 def _optional_number(doc: dict, key: str) -> float | None:
@@ -127,14 +152,14 @@ def _optional_number(doc: dict, key: str) -> float | None:
 
 def read_instance(data: bytes | str) -> NestedInstance:
     """Parse and fully validate an instance JSON document."""
-    doc = _load_object(data)
+    doc, scan = _load_object(data)
     n = _require(doc, "n", int)
     m = _require(doc, "m", int)
-    s = _array(doc, "s", integral=True)
-    a = _array(doc, "a")
+    s = _array(doc, "s", integral=True, scan=scan)
+    a = _array(doc, "a", scan=scan)
     B = _require(doc, "B", (int, float))
-    lower = _array(doc, "lower")
-    upper = _array(doc, "upper")
+    lower = _array(doc, "lower", scan=scan)
+    upper = _array(doc, "upper", scan=scan)
     mode = _require(doc, "mode", str)
     try:
         mode = Mode(mode)
@@ -150,7 +175,7 @@ def read_instance(data: bytes | str) -> NestedInstance:
         raise ValidationError("objective.family", "custom objectives are not serializable")
     params_doc = _require(obj_doc, "params", dict, where="objective")
     where = f"objective.params for '{fam_tag}'"
-    params = {key: _array(params_doc, key, where) for key in _PARAM_KEYS[family]}
+    params = {key: _array(params_doc, key, where, scan=scan) for key in _PARAM_KEYS[family]}
     objective = ObjectiveSpec(family, params)
     return NestedInstance(
         n=n, m=m, s=s, a=a, B=B, lower=lower, upper=upper, objective=objective, mode=mode
@@ -184,13 +209,13 @@ def write_solution(sol: Solution, stats: SolveStats | None = None) -> bytes:
 def read_solution(data: bytes | str) -> Solution:
     """Parse and validate a solution JSON document: `x` is null or a flat
     list of numbers, `objective` and `epsilon` are numbers or null."""
-    doc = _load_object(data)
+    doc, scan = _load_object(data)
     tag = _require(doc, "status", str, where="solution")
     try:
         status = Status(tag)
     except ValueError:
         raise ValidationError("status", f"unknown status {tag!r}") from None
-    x = None if doc.get("x") is None else _array(doc, "x", where="solution")
+    x = None if doc.get("x") is None else _array(doc, "x", where="solution", scan=scan)
     if status is Status.OPTIMAL and x is None:
         raise ValidationError("x", "optimal solution must carry an allocation")
     objective = _optional_number(doc, "objective")

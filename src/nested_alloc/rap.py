@@ -1,48 +1,66 @@
 """Kernels for the box-constrained single-equality subproblem (RAP).
 
 A RAP asks for min sum(f_i(x_i)) subject to sum(x_i) = R and c <= x <= d on a
-contiguous slice of variables. The continuous kernel runs an Illinois
-multiplier search with a bisection budget on the multiplier of the coupling
-constraint: x_i(lam) = clamp(inv(f'_i)(lam), c_i, d_i) is nondecreasing in
-lam, so the bracket [lam_lo, lam_hi] with sum(x(lam_lo)) <= R <= sum(x(lam_hi))
-narrows until every coordinate is pinned to within the requested accuracy,
-after which the residual R - sum(x(lam_lo)) is distributed in index order
-inside the per-coordinate brackets. A step tries the regula falsi point of the
-excess sum(x) - R at the two ends, and the excess kept at an end that stays put
-twice in a row is halved (Illinois). It takes the midpoint instead when that
-point leaves the open bracket or is not finite, or when the bracket is wider
-than four times what plain bisection would have left after as many steps, so
-no bracket ever falls more than three halvings behind bisection. Interpolating
-calls also stop a segment at its root: once one evaluation (a bracket end or a
-step) gives an excess within eps/2 of zero, the segment is done, and its
-residual is filled from that evaluation's allocation in index order, up from
-x_l for a hit from below and down from x_h for a hit from above. x(lam) is
-exactly optimal for its own sum R', and optimal allocations are coordinatewise
-monotone in the target, so an optimum for R lies within |R - R'| <= eps/2 of
-x(lam) on the side the fill moves, and so does the filled point. This ends the
-regula falsi stagnation in which one end sits an ulp from the target while the
-other crawls in. Calls too small for the interpolation to pay for its
-bookkeeping bisect, with the x-width stop alone. Both bracket ends and every
-step evaluate x(lam) through the objective's inverse map
+contiguous slice of variables. The continuous kernel searches the multiplier
+of the coupling constraint: x_i(lam) = clamp(inv(f'_i)(lam), c_i, d_i) is
+nondecreasing in lam, so the bracket [lam_lo, lam_hi] with
+sum(x(lam_lo)) <= R <= sum(x(lam_hi)) narrows until the segment ends, and the
+residual is then distributed in index order inside per-coordinate gaps. Every
+segment also ends once lam_lo and lam_hi are adjacent doubles (`stuck`). The
+other stop rule depends on the size of the call:
+
+- Calls of fewer than 2000 open elements bisect. They keep the allocations
+  x_l = x(lam_lo) and x_h = x(lam_hi) in step with the ends, and a segment
+  ends when every coordinate is pinned, max(x_h - x_l) <= eps. The residual
+  R - sum(x_l) is filled up from x_l inside x_h - x_l.
+- Larger calls interpolate (Illinois), keep only per-segment state, and stop
+  a segment at its root. A step tries the regula falsi point of the excess
+  sum(x) - R at the two ends, and the excess kept at an end that stays put
+  twice in a row is halved. It takes the midpoint instead when that point
+  leaves the open bracket or is not finite, or when the bracket is wider than
+  four times what plain bisection would have left after as many steps, so no
+  bracket ever falls more than three halvings behind bisection. Once one
+  evaluation (a bracket end or a step) gives an excess within eps/2 of zero,
+  the segment is done, and that evaluation's allocation is the one
+  per-element array kept. Its residual is filled from it in index order, up
+  inside d - x(lam) for a hit from below, down inside x(lam) - c for a hit
+  from above, with every gap capped at the residual. The box bound is sound:
+  x(lam) is exactly optimal for its own sum R', and optimal allocations are
+  coordinatewise monotone in the target, so an optimum for R lies in the box
+  [x(lam) - |R - R'|, x(lam)] (or its mirror above x(lam)), and so does the
+  filled point. They differ by at most |R - R'| <= eps/2 per coordinate, and
+  the box bound stands in for the other bracket end. This ends the regula
+  falsi stagnation in which one end sits an ulp from the target while the
+  other crawls in. A segment that ends stuck without a hit has x evaluated at
+  both of its bracket ends again, for its own elements only, and is filled
+  as in small calls. There is no x-width stop on this path: it needs both
+  end allocations at every step, and keeping them in step cost as much as
+  evaluating x(lam).
+
+Every step evaluates x(lam) through the objective's inverse map
 (`ObjectiveSpec.inverse_map`), built once per call and again after each
 compaction, so per-variable constants are gathered once and the work that
 depends on lam alone runs per segment; CUSTOM objectives, which have no map,
-invert f' by inner bisection. A search that still has open segments after
-`max_iter` steps raises instead of returning an unconverged point. The integer
-kernel runs the same search over unit marginal costs f_i(t) - f_i(t-1). It
-keeps the unit allocations at both bracket ends, so each step searches only
-between them, and stops once they differ by at most one unit per element (or
-the bracket ends are adjacent doubles). At a multiplier lam an element takes
-the largest unit t whose marginal is <= lam. By convexity t lies within one
-unit of the continuous point x_c = (f')^-1(lam) (Hochbaum's proximity), so a
-step probes g = round(x_c), taken from the inverse map at the open elements,
-and checks two marginals: unit g qualifies and unit g + 1 does not. The checks
-price units with the costs of `ObjectiveSpec.value_map`, the arithmetic of the
-greedy oracle, so a probe can only narrow an element's unit range; the few
-elements it leaves open, and all elements of CUSTOM objectives, which have no
-map, are halved. The few residual units then go out in greedy order,
-ascending marginal with the lowest index first, the order in which the heap
-greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
+invert f' by inner bisection. A segment whose residual cannot be placed in
+its gaps has flat marginals, and its budget is spread uniformly. A search
+that still has open segments after `max_iter` steps raises instead of
+returning an unconverged point.
+
+The integer kernel runs the same search over unit marginal costs
+f_i(t) - f_i(t-1). It keeps the unit allocations at both bracket ends, so
+each step searches only between them, and stops once they differ by at most
+one unit per element (or the bracket ends are adjacent doubles). At a
+multiplier lam an element takes the largest unit t whose marginal is <= lam.
+By convexity t lies within one unit of the continuous point
+x_c = (f')^-1(lam) (Hochbaum's proximity), so a step probes g = round(x_c),
+taken from the inverse map at the open elements, and checks two marginals:
+unit g qualifies and unit g + 1 does not. The checks price units with the
+costs of `ObjectiveSpec.value_map`, the arithmetic of the greedy oracle, so a
+probe can only narrow an element's unit range; the few elements it leaves
+open, and all elements of CUSTOM objectives, which have no map, are halved.
+The few residual units then go out in greedy order, ascending marginal with
+the lowest index first, the order in which the heap greedy oracle
+`oracles.rap_integer_greedy` hands them out one at a time.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
@@ -50,9 +68,9 @@ indices of the owning objective. Both kernels gather their open segments into
 compact arrays with `_select_segments`, and the continuous kernel uses it again
 to finish converged segments and to drop them from the working set. Given a
 `SolveStats`, a kernel adds its multiplier steps to `kernel_steps` and its
-per-element objective evaluations to `kernel_evals`: x(lam) and the bracket's
-derivatives in the continuous kernel, unit marginals and probed continuous
-points in the integer kernel.
+per-element objective evaluations to `kernel_evals`: x(lam), bracket ends
+evaluated again included, and the bracket's derivatives in the continuous
+kernel, unit marginals and probed continuous points in the integer kernel.
 """
 
 from __future__ import annotations
@@ -68,15 +86,18 @@ class SolveTimeout(RuntimeError):
     """Cooperative time-limit cutoff raised from inside a kernel loop."""
 
 
-# When the continuous kernel interpolates. An Illinois step costs about 10 us
-# of extra NumPy calls plus 18 ns per open segment (2 cores, NumPy 2.4), and
-# saves about half the multiplier steps of each element it serves, whose
-# evaluation costs 10 ns (f, f-uniform) to 35 ns (fuelopt) per step. At the
-# cheapest evaluation it pays once open elements >= 2000 + 4 * open segments
-# (10 us / (0.5 * 10 ns) and 18 ns / (0.5 * 10 ns)); smaller calls, such as
-# whole solves at n = 1000 or levels of two-element segments, bisect.
+# When the continuous kernel interpolates: in calls of 2000 or more open
+# elements. An interpolating step makes more NumPy calls than a bisection
+# step, and the steps it saves pay for them only in larger calls. Single calls
+# timed on both paths (F and fuelopt objectives, segments of 2, 4 or 32
+# elements or one segment, eps 1e-9, 2 cores, NumPy 2.4) interpolated faster
+# in 1 of 8 shapes at 250 open elements, 2 at 500, 3 at 1000, 6 at 2000, 8 at
+# 4000 and 7 at 16000, in 0.5-0.94x the bisection's time where they won.
+# Whole solves at n <= 1000 with no floor ran faster (2.75 against 3.04 s over
+# 200 of them), but some of their calls then took more than four steps beyond
+# bisection's: the root stop alone asks for |sum(x) - R| <= eps/2 where the
+# x-width stop accepts a sum off by up to eps per element.
 _ILLINOIS_MIN_ELEMENTS = 2000
-_ILLINOIS_ELEMENTS_PER_SEGMENT = 4
 
 
 def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -230,11 +251,27 @@ def solve_segments_continuous(
         np.maximum(x, e_lo, out=x)
         return np.minimum(x, e_hi, out=x)
 
+    def x_ends(sel):
+        """Clamped x(lam_lo) and x(lam_hi) of the elements of the segments
+        flagged in `sel`, and of no others, in one evaluation."""
+        pos, _, sub_len, _ = _select_segments(sel, seg_off)
+        k = np.concatenate([pos, pos])
+        lam_e = np.repeat(np.concatenate([lam_lo[sel], lam_hi[sel]]), np.tile(sub_len, 2))
+        stats.kernel_evals += k.size
+        if inv is None:
+            x = _clamped_inverse(obj, e_idx[k], lam_e, e_lo[k], e_hi[k])
+        else:
+            x = inv(lam_e, k=k)
+            np.maximum(x, e_lo[k], out=x)
+            np.minimum(x, e_hi[k], out=x)
+        return x[: pos.size], x[pos.size :]
+
     lam_lo, lam_hi = _bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats)
-    # allocations at the bracket ends, kept in step with every move of an end
+    # allocations at the bracket ends; bisection keeps them in step with every
+    # move of an end
     x_l = x_at(lam_lo)
     x_h = x_at(lam_hi)
-    illinois = e_idx.size >= _ILLINOIS_MIN_ELEMENTS + _ILLINOIS_ELEMENTS_PER_SEGMENT * seg_tgt.size
+    illinois = e_idx.size >= _ILLINOIS_MIN_ELEMENTS
     if illinois:
         # excess sum - target at each bracket end, and the bracket width the
         # bisection budget allows (4x what plain halving would have left)
@@ -242,29 +279,48 @@ def solve_segments_continuous(
         f_hi = np.add.reduceat(x_h, seg_off[:-1]) - seg_tgt
         max_width = 4.0 * (lam_hi - lam_lo)
         # root stop: an evaluation whose excess is within half_eps of zero
-        # ends its segment; `down` marks the hits from above, which finalize
-        # fills downward from x_h
+        # ends its segment, and x_fin keeps that evaluation's allocation; no
+        # other per-element state is kept
         half_eps = 0.5 * eps_x
-        down = np.abs(f_hi) <= half_eps
-        hit = down | (np.abs(f_lo) <= half_eps)
+        hit_hi = np.abs(f_hi) <= half_eps
+        hit = hit_hi | (np.abs(f_lo) <= half_eps)
+        x_fin = x_l
+        np.copyto(x_fin, x_h, where=np.repeat(hit_hi, seg_len))
+        x_h = None
 
     def finalize(sel):
         """Repair converged segments: fill residual gaps in index order, up
-        from x_l, or down from x_h where the search hit the target from above."""
-        pos, sub_off, sub_len, (xl, xh) = _select_segments(sel, seg_off, x_l, x_h)
-        gaps = xh - xl
+        from xl, or down from xh where a hit overshot the target."""
         tgt = seg_tgt[sel]
+        if illinois:
+            pos, sub_off, sub_len, (xf, xl, xh) = _select_segments(
+                sel, seg_off, x_fin, e_lo, e_hi
+            )
+            h = hit[sel]
+            if not h.all():
+                # stuck without a hit: evaluate both bracket ends again
+                q = np.repeat(~h, sub_len)
+                xl[q], xh[q] = x_ends(sel & ~hit)
+            # a hit fills from its own allocation toward the target: up inside
+            # [x_fin, e_hi] when short of it, down inside [e_lo, x_fin] when over
+            down = h & (np.add.reduceat(xf, sub_off[:-1]) > tgt)
+            np.copyto(xl, xf, where=np.repeat(h & ~down, sub_len))
+            np.copyto(xh, xf, where=np.repeat(down, sub_len))
+        else:
+            pos, sub_off, sub_len, (xl, xh) = _select_segments(sel, seg_off, x_l, x_h)
+        gaps = xh - xl
         flip = None
-        if illinois and down[sel].any():
-            # negated, the fill down from x_h is the same fill up from -x_h
-            tgt = np.where(down[sel], -tgt, tgt)
-            flip = np.repeat(down[sel], sub_len)
+        if illinois and down.any():
+            # negated, the fill down from xh is the same fill up from -xh
+            tgt = np.where(down, -tgt, tgt)
+            flip = np.repeat(down, sub_len)
             np.negative(xh, out=xl, where=flip)
         resid = tgt - np.add.reduceat(xl, sub_off[:-1])
         if illinois:
-            # a hit leaves gaps of any size; no element takes more than its
-            # segment's residual, and gaps capped at it keep the fill's
-            # running sums, and so their rounding, as small as the residuals
+            # no element takes more than its segment's residual; gaps capped
+            # at it stay finite where a hit's gap reaches an infinite upper
+            # bound, and keep the fill's running sums, and so their rounding,
+            # as small as the residuals
             np.minimum(gaps, np.repeat(np.maximum(resid, 0.0), sub_len), out=gaps)
         x = _segment_fill(xl, gaps, sub_off, resid, sub_len)
         if flip is not None:
@@ -296,13 +352,11 @@ def solve_segments_continuous(
             f = np.add.reduceat(xm, seg_off[:-1]) - seg_tgt
             live = ~stuck
             if illinois:
-                live &= ~hit  # a segment that hit keeps the ends it hit with
+                live &= ~hit  # a segment that hit keeps its ends
             move_hi = (f >= 0.0) & live
             move_lo = live ^ move_hi
             np.copyto(lam_hi, lam, where=move_hi)
             np.copyto(lam_lo, lam, where=move_lo)
-            np.copyto(x_h, xm, where=np.repeat(move_hi, seg_len))
-            np.copyto(x_l, xm, where=np.repeat(move_lo, seg_len))
             if illinois:
                 # Illinois: when an end moves twice in a row, the excess
                 # kept at the other end is halved
@@ -315,43 +369,52 @@ def solve_segments_continuous(
                 last_hi = move_hi
                 # the true excess, not the halved one, decides a hit
                 near = live & (np.abs(f) <= half_eps)
-                down |= near & move_hi
-                hit |= near
+                if near.any():
+                    np.copyto(x_fin, xm, where=np.repeat(near, seg_len))
+                    hit |= near
+                done = hit | stuck
+            else:
+                np.copyto(x_h, xm, where=np.repeat(move_hi, seg_len))
+                np.copyto(x_l, xm, where=np.repeat(move_lo, seg_len))
+                gap = np.maximum.reduceat(x_h - x_l, seg_off[:-1])
+                done = (gap <= eps_x) | stuck
             it += 1
             if it % 8 == 0:
                 _check_deadline(deadline)
-            gap = np.maximum.reduceat(x_h - x_l, seg_off[:-1])
-            done = (gap <= eps_x) | stuck
-            if illinois:
-                done |= hit
             n_done = np.count_nonzero(done)
             if n_done == seg_tgt.size:
                 finalize(np.ones(seg_tgt.size, dtype=bool))
                 stats.kernel_steps += it
                 return x_out
             if it >= max_iter:
+                if illinois:
+                    xl, xh = x_ends(~done)
+                    widest = float(np.max(xh - xl))
+                else:
+                    widest = float(gap[~done].max())
                 raise RuntimeError(
                     f"multiplier search left {seg_tgt.size - n_done} segments open after "
-                    f"{it} steps; widest x-gap {float(gap[~done].max())} > eps_x {eps_x}"
+                    f"{it} steps; widest x-gap {widest} > eps_x {eps_x}"
                 )
             if n_done * 2 >= seg_tgt.size:
                 # retire finished segments and compact the working set
                 finalize(done)
                 keep = ~done
-                _, seg_off, seg_len, (out_pos, e_idx, e_lo, e_hi, x_l, x_h) = _select_segments(
-                    keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_l, x_h
-                )
+                if illinois:
+                    _, seg_off, seg_len, (out_pos, e_idx, e_lo, e_hi, x_fin) = _select_segments(
+                        keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_fin
+                    )
+                    f_lo, f_hi, max_width, last_hi, hit = (
+                        a[keep] for a in (f_lo, f_hi, max_width, last_hi, hit)
+                    )
+                else:
+                    _, seg_off, seg_len, (out_pos, e_idx, e_lo, e_hi, x_l, x_h) = _select_segments(
+                        keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_l, x_h
+                    )
                 seg_tgt = seg_tgt[keep]
                 inv = obj.inverse_map(e_idx)
                 lam_lo = lam_lo[keep]
                 lam_hi = lam_hi[keep]
-                if illinois:
-                    f_lo = f_lo[keep]
-                    f_hi = f_hi[keep]
-                    max_width = max_width[keep]
-                    last_hi = last_hi[keep]
-                    down = down[keep]
-                    hit = hit[keep]
 
 
 def _waterfill(x, hi, offsets, leftover, which):

@@ -89,6 +89,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: lower: ") and "Traceback" not in err
 
+    def test_boolean_is_a_clean_error(self, tmp_path, capsys):
+        doc = {
+            "n": 2, "m": 2, "s": [True, 2], "a": [1.0], "B": 4.0,
+            "lower": [0.0, 0.0], "upper": [3.0, 3.0], "mode": "continuous",
+            "objective": {"family": "quadratic", "params": {"w": [1.0, 1.0], "t": [0.0, 0.0]}},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: s: ") and "Traceback" not in err
+
     def test_infeasible_exit_code(self, tmp_path):
         doc = {
             "n": 2, "m": 1, "s": [2], "a": [], "B": 3.0,

@@ -152,6 +152,18 @@ class TestGrowthExperiment:
         # doubling the exponent should not double the count (log signature)
         assert means[2] / means[1] < 2.0
 
+    @pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])
+    def test_mean_active_count_is_harmonic(self, family):
+        """Spitzer's lemma: the faces of the lower convex hull of a walk with
+        exchangeable increments of a.s. distinct slopes are distributed like
+        the cycles of a uniform random permutation, so the mean number of
+        interior vertices is H_m - 1. Every mean lies within 4 standard
+        errors of it."""
+        rows = active_growth_experiment(family, [10, 100, 1000], trials=400, seed=7)
+        for m, trials, mean, std in rows:
+            law = sum(1.0 / k for k in range(1, m + 1)) - 1.0
+            assert abs(mean - law) <= 4.0 * std / np.sqrt(trials)
+
     def test_csv_shape(self):
         rows = active_growth_experiment(Family.FUELOPT, [10, 20], trials=5, seed=2)
         text = growth_rows_to_csv(rows)

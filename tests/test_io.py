@@ -141,6 +141,16 @@ def test_infeasible_solution_roundtrip():
         ("w", [[1, 1], [1, 1]]),
         ("t", ["0", 0.0]),
         ("w", 1.0),
+        # JSON booleans are Python ints, but not numbers of the schema
+        ("n", True),
+        ("m", True),
+        ("B", False),
+        ("s", [True, 2]),  # used to read as [1, 2]
+        ("lower", [True, 0.0]),  # used to read as [1.0, 0.0]
+        ("upper", [3.0, False]),
+        ("upper", [float("inf"), True]),  # read by `json`, not orjson
+        ("w", [1.0, True]),
+        ("t", [0, False]),
     ],
 )
 def test_malformed_array_names_field(field, value):
@@ -154,6 +164,15 @@ def test_malformed_array_names_field(field, value):
     assert exc.value.field == field
 
 
+def test_boolean_literal_elsewhere_reads_the_same():
+    """A `true` outside the arrays turns the element scan on; the values
+    read are those of the same document without it."""
+    doc = canonical_doc()
+    plain = read_instance(json.dumps(doc))
+    doc["note"] = True
+    assert read_instance(json.dumps(doc)) == plain
+
+
 def test_integral_floats_accepted_for_s():
     doc = canonical_doc()
     doc["s"] = [1.0, 2.0]
@@ -162,7 +181,7 @@ def test_integral_floats_accepted_for_s():
 
 
 def test_malformed_solution_x_names_field():
-    for x in (["1", 2.0], [[1.0, 2.0]], [None, 1.0], "1,2"):
+    for x in (["1", 2.0], [[1.0, 2.0]], [None, 1.0], "1,2", [1.0, True]):
         doc = {"status": "optimal", "x": x, "objective": 1.0, "epsilon": None}
         with pytest.raises(ValidationError) as exc:
             read_solution(json.dumps(doc))

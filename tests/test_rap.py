@@ -479,7 +479,6 @@ def illinois_everywhere(monkeypatch):
     """Interpolate in calls of every size: the kernel does so only in calls
     of 2000 or more open elements, and these cases are small."""
     monkeypatch.setattr(rap_module, "_ILLINOIS_MIN_ELEMENTS", 0)
-    monkeypatch.setattr(rap_module, "_ILLINOIS_ELEMENTS_PER_SEGMENT", 0)
 
 
 def _assert_matches_bisection(obj, c, d, lengths, targets, eps_x):
@@ -557,17 +556,45 @@ def test_small_calls_bisect_bit_for_bit(family):
 
 
 def test_illinois_matches_bisection_above_threshold():
-    """Calls big enough to interpolate without forcing it."""
+    """Calls big enough to interpolate without forcing it. Besides ordinary
+    targets they hold a segment at its box sum, one an ulp below it, which
+    hits at a bracket end, and one at 0 on a floor of zeros. A CUSTOM call
+    holds two segments that end stuck without a hit and have their bracket
+    ends evaluated again: one of flat marginals, stuck at once, and one whose
+    x(lam) jumps at its multiplier, stuck at adjacent doubles."""
     rng = np.random.Generator(np.random.PCG64(76))
-    lengths = [2500, 1, 7, 300, 2, 60]
-    assert sum(lengths) >= (
-        rap_module._ILLINOIS_MIN_ELEMENTS
-        + rap_module._ILLINOIS_ELEMENTS_PER_SEGMENT * len(lengths)
-    )
+    lengths = [2500, 1, 7, 300, 2, 60, 40, 9]
+    assert sum(lengths) >= rap_module._ILLINOIS_MIN_ELEMENTS
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
     for family in OBJECTIVE_FAMILIES:
         c, d, targets = _random_boxes(rng, lengths)
+        sum_d = np.add.reduceat(d, offsets[:-1])
+        targets[3] = sum_d[3]
+        targets[6] = np.nextafter(sum_d[6], -np.inf)
+        c[offsets[7] :] = 0.0
+        targets[7] = 0.0
         obj = random_objective(rng, family, c.size)
         _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
+
+    # CUSTOM: equal linear costs below n_flat; beyond it f' = x up to 1,
+    # then flat at 1 up to x = 2, then x - 1, so x(lam) jumps from 1 to 2 at
+    # lam = 1, where a target of 1.5 per element puts the multiplier
+    n_flat = rap_module._ILLINOIS_MIN_ELEMENTS
+
+    def cost(i, x):
+        if i < n_flat:
+            return 3.0 * x
+        w = max(x - 2.0, 0.0)
+        return 0.5 * min(x, 1.0) ** 2 + min(max(x - 1.0, 0.0), 1.0) + 0.5 * w * w + w
+
+    def slope(i, x):
+        return 3.0 if i < n_flat else min(x, 1.0) + max(x - 2.0, 0.0)
+
+    obj = ObjectiveSpec(Family.CUSTOM, {}, value_fn=cost, derivative_fn=slope)
+    c = np.zeros(n_flat + 5)
+    d = np.full(n_flat + 5, 4.0)
+    x = _assert_matches_bisection(obj, c, d, [n_flat, 5], [2.5 * n_flat, 7.5], 1e-9)
+    assert np.allclose(x[:n_flat], 2.5)
 
 
 @pytest.mark.usefixtures("illinois_everywhere")
@@ -728,7 +755,6 @@ def test_exhausted_search_raises(monkeypatch, illinois):
     than finalizing a point with no eps guarantee."""
     if illinois:
         monkeypatch.setattr(rap_module, "_ILLINOIS_MIN_ELEMENTS", 0)
-        monkeypatch.setattr(rap_module, "_ILLINOIS_ELEMENTS_PER_SEGMENT", 0)
     rng = np.random.Generator(np.random.PCG64(81))
     lengths = [1, 40, 7, 150]
     c, d, targets = _random_boxes(rng, lengths)
