@@ -10,7 +10,9 @@ Objective families evaluate vectorized over variable indices. For the
 continuous multiplier search, `ObjectiveSpec.inverse_map` gathers a family's
 per-variable constants once and returns x(lam) = (f')^-1(lam) as a function
 of one multiplier per segment; `inverse_derivative_at` is its per-element case.
-The integer kernel probes the same maps at single elements and prices units
+`ObjectiveSpec.multiplier_coordinate` names the coordinate h(lam) in which
+the pole families' x(lam) is linear, where the search interpolates. The
+integer kernel probes the same maps at single elements and prices units
 with `ObjectiveSpec.value_map`, which gathers the constants of the costs once
 per kernel call; `value_at` is its per-call case.
 """
@@ -273,6 +275,23 @@ class ObjectiveSpec:
 
         return inv
 
+    def multiplier_coordinate(
+        self,
+    ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]] | None:
+        """A coordinate h(lam) in which every unclamped x_i(lam) is g_i h(lam),
+        as the pair (h, h^-1), or None where there is none.
+
+        Crashing has h = (-lam)^(-1/2) and fuelopt h = (-lam)^(-1/4), so
+        between clamp changes sum(x) is affine in h and one regula falsi step
+        in h lands on the root. Quadratic x is affine in lam itself; F and
+        CUSTOM have no such coordinate. lam >= 0 maps to h = inf or NaN.
+        """
+        if self.family is Family.CRASHING:
+            return lambda lam: 1.0 / np.sqrt(-lam), lambda h: -1.0 / (h * h)
+        if self.family is Family.FUELOPT:
+            return lambda lam: 1.0 / np.sqrt(np.sqrt(-lam)), lambda h: -1.0 / (h * h) ** 2
+        return None
+
 
 def _is_integral(a: np.ndarray) -> bool:
     a = np.asarray(a, dtype=np.float64)
@@ -409,6 +428,10 @@ class SolveStats:
     `kernel_evals` counts per-element objective evaluations inside the
     kernels: x(lam) evaluations plus the bracket's derivatives in continuous
     mode, unit marginals plus the probe's continuous points in integer mode.
+    A continuous call evaluates x at its bracket ends only for segments whose
+    bracket passes through an interior point (a pole or an unbounded box at
+    an end) and for segments that end stuck without a hit; elsewhere x there
+    is the box end itself.
     """
 
     rap_calls: int = 0

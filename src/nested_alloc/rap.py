@@ -4,38 +4,52 @@ A RAP asks for min sum(f_i(x_i)) subject to sum(x_i) = R and c <= x <= d on a
 contiguous slice of variables. The continuous kernel searches the multiplier
 of the coupling constraint: x_i(lam) = clamp(inv(f'_i)(lam), c_i, d_i) is
 nondecreasing in lam, so the bracket [lam_lo, lam_hi] with
-sum(x(lam_lo)) <= R <= sum(x(lam_hi)) narrows until the segment ends, and the
-residual is then distributed in index order inside per-coordinate gaps. Every
-segment also ends once lam_lo and lam_hi are adjacent doubles (`stuck`). The
-other stop rule depends on the size of the call:
+sum(x(lam_lo)) <= R <= sum(x(lam_hi)) narrows until the segment ends. The
+bracket runs from the least derivative at the floor, lam_lo = min f'(c), to
+the largest at the top, lam_hi = max f'(d), where x is exactly c and d, so
+the excess sum(x) - R at the ends costs no evaluation. Only a segment whose
+end is not finite (a pole at 0, an unbounded box) passes its bracket through
+an interior point instead and has x evaluated at both ends.
 
-- Calls of fewer than 2000 open elements bisect. They keep the allocations
-  x_l = x(lam_lo) and x_h = x(lam_hi) in step with the ends, and a segment
-  ends when every coordinate is pinned, max(x_h - x_l) <= eps. The residual
-  R - sum(x_l) is filled up from x_l inside x_h - x_l.
-- Larger calls interpolate (Illinois), keep only per-segment state, and stop
-  a segment at its root. A step tries the regula falsi point of the excess
-  sum(x) - R at the two ends, and the excess kept at an end that stays put
-  twice in a row is halved. It takes the midpoint instead when that point
-  leaves the open bracket or is not finite, or when the bracket is wider than
-  four times what plain bisection would have left after as many steps, so no
-  bracket ever falls more than three halvings behind bisection. Once one
-  evaluation (a bracket end or a step) gives an excess within eps/2 of zero,
-  the segment is done, and that evaluation's allocation is the one
-  per-element array kept. Its residual is filled from it in index order, up
-  inside d - x(lam) for a hit from below, down inside x(lam) - c for a hit
-  from above, with every gap capped at the residual. The box bound is sound:
-  x(lam) is exactly optimal for its own sum R', and optimal allocations are
-  coordinatewise monotone in the target, so an optimum for R lies in the box
-  [x(lam) - |R - R'|, x(lam)] (or its mirror above x(lam)), and so does the
-  filled point. They differ by at most |R - R'| <= eps/2 per coordinate, and
-  the box bound stands in for the other bracket end. This ends the regula
-  falsi stagnation in which one end sits an ulp from the target while the
-  other crawls in. A segment that ends stuck without a hit has x evaluated at
-  both of its bracket ends again, for its own elements only, and is filled
-  as in small calls. There is no x-width stop on this path: it needs both
-  end allocations at every step, and keeping them in step cost as much as
-  evaluating x(lam).
+Each step evaluates x at one multiplier per segment and keeps only
+per-segment state, in one loop for every call:
+
+- Breakpoint phase, in calls of fewer than 2000 open elements (Kiwiel's
+  breakpoint search, Math. Prog. 2008). The breakpoints f'_i(c_i) and
+  f'_i(d_i) strictly inside a segment's bracket are sorted once, and a step
+  evaluates the median one left, so after about log2(2K) steps none is
+  inside and every element keeps its clamp state across the bracket.
+- Interpolation (Illinois). A step tries the regula falsi point of the
+  excess at the two ends, and the excess kept at an end that stays put in
+  two interpolation steps in a row is halved. On a bracket without kinks,
+  crashing and fuelopt have x_i = g_i h(lam) with h = (-lam)^(-1/2) and
+  (-lam)^(-1/4) (`ObjectiveSpec.multiplier_coordinate`), and quadratic x is
+  affine in lam, so regula falsi in h (in lam for quadratic) lands on the
+  root; F and CUSTOM interpolate in lam. Large calls interpolate in lam,
+  where their brackets hold kinks. A step takes the midpoint instead when
+  the point leaves the open bracket or is not finite, or when the bracket is
+  wider than its budget, four times what plain bisection would leave after
+  as many steps. In large calls the budget runs from the start, so no bracket
+  falls more than three halvings behind bisection. In small calls it starts
+  again once the breakpoint phase ends and after each forced midpoint, so a
+  bracket that once fell behind interpolates again, and each halving takes
+  at most four steps.
+
+A segment ends once one evaluation (a bracket end or a step) gives an excess
+within eps/2 of zero (the root stop), and that evaluation's allocation is the
+one per-element array kept. Its residual is filled from it in index order,
+up inside d - x(lam) for a hit from below, down inside x(lam) - c for a hit
+from above, with every gap capped at the residual. The box bound is sound:
+x(lam) is exactly optimal for its own sum R', and optimal allocations are
+coordinatewise monotone in the target, so an optimum for R lies in the box
+[x(lam) - |R - R'|, x(lam)] (or its mirror above x(lam)), and so does the
+filled point. They differ by at most |R - R'| <= eps/2 per coordinate. Every
+segment also ends once lam_lo and lam_hi are adjacent doubles (`stuck`); one
+that ends so without a hit has x evaluated at both of its bracket ends again,
+for its own elements only, and its residual R - sum(x(lam_lo)) is filled up
+inside x(lam_hi) - x(lam_lo). Large calls retire finished segments and
+compact the working set once half of them are done; small calls finalize
+once, at the end.
 
 Every step evaluates x(lam) through the objective's inverse map
 (`ObjectiveSpec.inverse_map`), built once per call and again after each
@@ -69,8 +83,8 @@ compact arrays with `_select_segments`, and the continuous kernel uses it again
 to finish converged segments and to drop them from the working set. Given a
 `SolveStats`, a kernel adds its multiplier steps to `kernel_steps` and its
 per-element objective evaluations to `kernel_evals`: x(lam), bracket ends
-evaluated again included, and the bracket's derivatives in the continuous
-kernel, unit marginals and probed continuous points in the integer kernel.
+evaluated included, and the bracket's derivatives in the continuous kernel,
+unit marginals and probed continuous points in the integer kernel.
 """
 
 from __future__ import annotations
@@ -86,18 +100,21 @@ class SolveTimeout(RuntimeError):
     """Cooperative time-limit cutoff raised from inside a kernel loop."""
 
 
-# When the continuous kernel interpolates: in calls of 2000 or more open
-# elements. An interpolating step makes more NumPy calls than a bisection
-# step, and the steps it saves pay for them only in larger calls. Single calls
-# timed on both paths (F and fuelopt objectives, segments of 2, 4 or 32
-# elements or one segment, eps 1e-9, 2 cores, NumPy 2.4) interpolated faster
-# in 1 of 8 shapes at 250 open elements, 2 at 500, 3 at 1000, 6 at 2000, 8 at
-# 4000 and 7 at 16000, in 0.5-0.94x the bisection's time where they won.
-# Whole solves at n <= 1000 with no floor ran faster (2.75 against 3.04 s over
-# 200 of them), but some of their calls then took more than four steps beyond
-# bisection's: the root stop alone asks for |sum(x) - R| <= eps/2 where the
-# x-width stop accepts a sum off by up to eps per element.
-_ILLINOIS_MIN_ELEMENTS = 2000
+# Calls of fewer open elements than this run the breakpoint phase, then
+# interpolate crashing and fuelopt in h, restart the bisection budget after
+# the phase and after each forced midpoint, and finalize once without
+# compacting. On the benchmark's batch-small seed 0, whose calls all lie below
+# it, the kernel took 16938 steps and 13.10 evaluations per element per level
+# against 54340 and 34.06 when these calls bisected. Above it the phase costs
+# more than it saves: with no call above it, dense-cont seed 0 took 682 steps
+# against 1731 but 14.11 evaluations per element per level against 13.10 (the
+# sort of up to 2K breakpoints, and finished segments evaluated to the end),
+# and sparse-cont seed 0 took 212 steps against 170 and 19.90 evaluations
+# against 15.11; their solves took 4.0 s against 2.1 s and 7.4 s against
+# 3.5 s (one run each, 2 cores, NumPy 2.4). Regula falsi in h over the kinked
+# brackets of a large call lost too: the crashing n = m = 2e4 call took 75
+# map calls where bisection took 69.
+_BREAKPOINT_PHASE_ELEMENTS = 2000
 
 
 def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -180,7 +197,28 @@ def _bracket_segments(obj, idx, lo, hi, offsets, targets, stats=None):
         stats.kernel_evals += idx.size
         lam_lo = np.where(bad, np.minimum.reduceat(np.where(free, d_f, np.inf), starts), lam_lo)
         lam_hi = np.where(bad, np.maximum.reduceat(np.where(free, d_f, -np.inf), starts), lam_hi)
-    return lam_lo, lam_hi
+    return lam_lo, lam_hi, bad, d_lo, d_hi
+
+
+def _interior_breakpoints(d_lo, d_hi, free, lam_lo, lam_hi, seg_len):
+    """The distinct breakpoints f'_i(c_i) and f'_i(d_i) of free elements that
+    lie strictly inside their segment's bracket, sorted by segment and value,
+    and each segment's index range [a, b) into them."""
+    ids = np.arange(seg_len.size)
+    lo_e = np.repeat(lam_lo, seg_len)
+    hi_e = np.repeat(lam_hi, seg_len)
+    # infinite and NaN values fail the strict comparisons
+    in_lo = free & (d_lo > lo_e) & (d_lo < hi_e)
+    in_hi = free & (d_hi > lo_e) & (d_hi < hi_e)
+    seg_e = np.repeat(ids, seg_len)
+    vals = np.concatenate([d_lo[in_lo], d_hi[in_hi]])
+    seg = np.concatenate([seg_e[in_lo], seg_e[in_hi]])
+    order = np.lexsort((vals, seg))
+    vals, seg = vals[order], seg[order]
+    first = np.ones(vals.size, dtype=bool)
+    first[1:] = (vals[1:] != vals[:-1]) | (seg[1:] != seg[:-1])
+    vals, seg = vals[first], seg[first]
+    return vals, np.searchsorted(seg, ids), np.searchsorted(seg, ids, side="right")
 
 
 def _fast_paths(lo, hi, offsets, targets):
@@ -222,9 +260,16 @@ def solve_segments_continuous(
     eps_x: float,
     deadline: float | None = None,
     stats: SolveStats | None = None,
-    max_iter: int = 2400,  # above the float-lattice halving depth plus the
-    # budget's three halvings, so the adjacent-value detector is what
-    # actually ends pathological brackets
+    # A bracket of doubles is down to adjacent doubles after at most 2099
+    # halvings: its width is below 2^1025 and doubles lie at least 2^-1074
+    # apart. A small call spends at most 12 steps in its breakpoint phase
+    # (fewer than 4000 breakpoints) and then at most 4 per halving, three
+    # interpolation steps and the midpoint its budget forces; a large call
+    # takes at most one per halving plus the three its budget lets it fall
+    # behind. So 12 + 4 * 2099 = 8408 steps leave every bracket stuck, and the
+    # cap sits above that: the adjacent-doubles test ends pathological
+    # brackets, not the cap.
+    max_iter: int = 8500,
 ) -> np.ndarray:
     """Solve every segment to per-coordinate accuracy eps_x with exact sums.
 
@@ -240,7 +285,9 @@ def solve_segments_continuous(
         open_seg, offsets, idx, lo, hi
     )
     seg_tgt = targets[open_seg]
+    small = e_idx.size < _BREAKPOINT_PHASE_ELEMENTS
     inv = obj.inverse_map(e_idx)
+    coord = obj.multiplier_coordinate() if small else None
 
     def x_at(lam):
         """Clamped x(lam) of every open element, lam given per segment."""
@@ -252,8 +299,8 @@ def solve_segments_continuous(
         return np.minimum(x, e_hi, out=x)
 
     def x_ends(sel):
-        """Clamped x(lam_lo) and x(lam_hi) of the elements of the segments
-        flagged in `sel`, and of no others, in one evaluation."""
+        """Positions of the elements of the segments flagged in `sel`, and
+        their clamped x(lam_lo) and x(lam_hi), in one evaluation."""
         pos, _, sub_len, _ = _select_segments(sel, seg_off)
         k = np.concatenate([pos, pos])
         lam_e = np.repeat(np.concatenate([lam_lo[sel], lam_hi[sel]]), np.tile(sub_len, 2))
@@ -264,64 +311,69 @@ def solve_segments_continuous(
             x = inv(lam_e, k=k)
             np.maximum(x, e_lo[k], out=x)
             np.minimum(x, e_hi[k], out=x)
-        return x[: pos.size], x[pos.size :]
+        return pos, x[: pos.size], x[pos.size :]
 
-    lam_lo, lam_hi = _bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats)
-    # allocations at the bracket ends; bisection keeps them in step with every
-    # move of an end
-    x_l = x_at(lam_lo)
-    x_h = x_at(lam_hi)
-    illinois = e_idx.size >= _ILLINOIS_MIN_ELEMENTS
-    if illinois:
-        # excess sum - target at each bracket end, and the bracket width the
-        # bisection budget allows (4x what plain halving would have left)
-        f_lo = np.add.reduceat(x_l, seg_off[:-1]) - seg_tgt
-        f_hi = np.add.reduceat(x_h, seg_off[:-1]) - seg_tgt
-        max_width = 4.0 * (lam_hi - lam_lo)
-        # root stop: an evaluation whose excess is within half_eps of zero
-        # ends its segment, and x_fin keeps that evaluation's allocation; no
-        # other per-element state is kept
-        half_eps = 0.5 * eps_x
-        hit_hi = np.abs(f_hi) <= half_eps
-        hit = hit_hi | (np.abs(f_lo) <= half_eps)
-        x_fin = x_l
-        np.copyto(x_fin, x_h, where=np.repeat(hit_hi, seg_len))
-        x_h = None
+    lam_lo, lam_hi, bad, d_lo, d_hi = _bracket_segments(
+        obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats
+    )
+    if small:
+        bp, bp_a, bp_b = _interior_breakpoints(d_lo, d_hi, e_hi > e_lo, lam_lo, lam_hi, seg_len)
+    del d_lo, d_hi  # the loop keeps no per-element state but x_fin
+    # x(lam_lo) = e_lo and x(lam_hi) = e_hi where the ends are the extreme
+    # derivatives at the box ends; only a bracket through an interior point
+    # has its ends evaluated
+    x_fin = e_lo.copy()
+    x_top = e_hi
+    if bad.any():
+        pos, xl, xh = x_ends(bad)
+        x_fin[pos] = xl
+        x_top = e_hi.copy()
+        x_top[pos] = xh
+    # excess sum - target at each bracket end
+    f_lo = np.add.reduceat(x_fin, seg_off[:-1]) - seg_tgt
+    f_hi = np.add.reduceat(x_top, seg_off[:-1]) - seg_tgt
+    # root stop: an evaluation whose excess is within half_eps of zero ends
+    # its segment, and x_fin keeps that evaluation's allocation; no other
+    # per-element state is kept
+    half_eps = 0.5 * eps_x
+    hit_hi = np.abs(f_hi) <= half_eps
+    hit = hit_hi | (np.abs(f_lo) <= half_eps)
+    np.copyto(x_fin, x_top, where=np.repeat(hit_hi, seg_len))
+    del x_top
+    # the bracket width the bisection budget allows (4x what plain halving
+    # would leave), and the end moved by the last interpolation step (1 hi,
+    # 0 lo, -1 none)
+    max_width = 4.0 * (lam_hi - lam_lo)
+    last_hi = np.full(seg_tgt.size, -1, dtype=np.int8)
 
     def finalize(sel):
-        """Repair converged segments: fill residual gaps in index order, up
-        from xl, or down from xh where a hit overshot the target."""
+        """Repair converged segments: fill each residual in index order from
+        the hit's allocation, or from the bracket ends where none hit."""
         tgt = seg_tgt[sel]
-        if illinois:
-            pos, sub_off, sub_len, (xf, xl, xh) = _select_segments(
-                sel, seg_off, x_fin, e_lo, e_hi
-            )
-            h = hit[sel]
-            if not h.all():
-                # stuck without a hit: evaluate both bracket ends again
-                q = np.repeat(~h, sub_len)
-                xl[q], xh[q] = x_ends(sel & ~hit)
-            # a hit fills from its own allocation toward the target: up inside
-            # [x_fin, e_hi] when short of it, down inside [e_lo, x_fin] when over
-            down = h & (np.add.reduceat(xf, sub_off[:-1]) > tgt)
-            np.copyto(xl, xf, where=np.repeat(h & ~down, sub_len))
-            np.copyto(xh, xf, where=np.repeat(down, sub_len))
-        else:
-            pos, sub_off, sub_len, (xl, xh) = _select_segments(sel, seg_off, x_l, x_h)
+        pos, sub_off, sub_len, (xf, xl, xh) = _select_segments(sel, seg_off, x_fin, e_lo, e_hi)
+        h = hit[sel]
+        if not h.all():
+            # stuck without a hit: evaluate both bracket ends again
+            q = np.repeat(~h, sub_len)
+            _, xl[q], xh[q] = x_ends(sel & ~hit)
+        # a hit fills from its own allocation toward the target: up inside
+        # [x_fin, e_hi] when short of it, down inside [e_lo, x_fin] when over
+        down = h & (np.add.reduceat(xf, sub_off[:-1]) > tgt)
+        np.copyto(xl, xf, where=np.repeat(h & ~down, sub_len))
+        np.copyto(xh, xf, where=np.repeat(down, sub_len))
         gaps = xh - xl
         flip = None
-        if illinois and down.any():
+        if down.any():
             # negated, the fill down from xh is the same fill up from -xh
             tgt = np.where(down, -tgt, tgt)
             flip = np.repeat(down, sub_len)
             np.negative(xh, out=xl, where=flip)
         resid = tgt - np.add.reduceat(xl, sub_off[:-1])
-        if illinois:
-            # no element takes more than its segment's residual; gaps capped
-            # at it stay finite where a hit's gap reaches an infinite upper
-            # bound, and keep the fill's running sums, and so their rounding,
-            # as small as the residuals
-            np.minimum(gaps, np.repeat(np.maximum(resid, 0.0), sub_len), out=gaps)
+        # no element takes more than its segment's residual; gaps capped at it
+        # stay finite where a hit's gap reaches an infinite upper bound, and
+        # keep the fill's running sums, and so their rounding, as small as the
+        # residuals
+        np.minimum(gaps, np.repeat(np.maximum(resid, 0.0), sub_len), out=gaps)
         x = _segment_fill(xl, gaps, sub_off, resid, sub_len)
         if flip is not None:
             np.negative(x, out=x, where=flip)
@@ -339,82 +391,91 @@ def solve_segments_continuous(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             lam = 0.5 * (lam_lo + lam_hi)
-            stuck = (lam <= lam_lo) | (lam >= lam_hi)  # float resolution exhausted
-            if illinois:
-                # regula falsi point; the midpoint stays when it leaves the
-                # open bracket, is not finite, or the bracket is over budget
-                width = lam_hi - lam_lo
-                prop = lam_lo - f_lo * width / (f_hi - f_lo)
-                ok = (prop > lam_lo) & (prop < lam_hi) & (width <= max_width)
+            # a segment is done at a hit or once its ends are adjacent doubles
+            done = hit | (lam <= lam_lo) | (lam >= lam_hi)
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
+                finalize(np.ones(done.size, dtype=bool))
+                stats.kernel_steps += it
+                return x_out
+            if it >= max_iter:
+                _, xl, xh = x_ends(~done)
+                raise RuntimeError(
+                    f"multiplier search left {done.size - n_done} segments open after "
+                    f"{it} steps; widest x-gap {float(np.max(xh - xl))} > eps_x {eps_x}"
+                )
+            if not small and n_done * 2 >= done.size:
+                # retire finished segments and compact the working set
+                finalize(done)
+                keep = ~done
+                _, seg_off, seg_len, (out_pos, e_idx, e_lo, e_hi, x_fin) = _select_segments(
+                    keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_fin
+                )
+                lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, hit, seg_tgt = (
+                    a[keep]
+                    for a in (lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, hit, seg_tgt)
+                )
+                done = hit
+                inv = obj.inverse_map(e_idx)
+            live = ~done
+            scanning, interpolating = False, True
+            if small:
+                # breakpoint phase: segments with breakpoints inside their
+                # bracket; the others interpolate
+                scan = live & (bp_a < bp_b)
+                n_scan = np.count_nonzero(scan)
+                scanning, interpolating = n_scan > 0, n_scan < done.size - n_done
+            if interpolating:
+                # regula falsi point of the excess at the two ends, taken in
+                # the coordinate h where sum(x) is affine between clamp
+                # changes if the objective has one; the midpoint stays when
+                # that point leaves the open bracket, is not finite, or the
+                # bracket is over budget
+                if coord is None:
+                    prop = lam_lo - f_lo * (lam_hi - lam_lo) / (f_hi - f_lo)
+                else:
+                    h, h_inv = coord
+                    h_lo, h_hi = h(lam_lo), h(lam_hi)
+                    prop = h_inv(h_lo - f_lo * (h_hi - h_lo) / (f_hi - f_lo))
+                ok = (prop > lam_lo) & (prop < lam_hi) & (lam_hi - lam_lo <= max_width)
                 np.copyto(lam, prop, where=ok)
                 max_width *= 0.5
+            if scanning:
+                # the median breakpoint inside the bracket
+                mid = (bp_a + bp_b) // 2
+                lam[scan] = bp[mid[scan]]
             xm = x_at(lam)
             f = np.add.reduceat(xm, seg_off[:-1]) - seg_tgt
-            live = ~stuck
-            if illinois:
-                live &= ~hit  # a segment that hit keeps its ends
             move_hi = (f >= 0.0) & live
             move_lo = live ^ move_hi
             np.copyto(lam_hi, lam, where=move_hi)
             np.copyto(lam_lo, lam, where=move_lo)
-            if illinois:
-                # Illinois: when an end moves twice in a row, the excess
-                # kept at the other end is halved
-                if it:
-                    again = move_hi == last_hi
-                    np.multiply(f_lo, 0.5, out=f_lo, where=again)
-                    np.multiply(f_hi, 0.5, out=f_hi, where=again)
-                np.copyto(f_hi, f, where=move_hi)
-                np.copyto(f_lo, f, where=move_lo)
-                last_hi = move_hi
-                # the true excess, not the halved one, decides a hit
-                near = live & (np.abs(f) <= half_eps)
-                if near.any():
-                    np.copyto(x_fin, xm, where=np.repeat(near, seg_len))
-                    hit |= near
-                done = hit | stuck
-            else:
-                np.copyto(x_h, xm, where=np.repeat(move_hi, seg_len))
-                np.copyto(x_l, xm, where=np.repeat(move_lo, seg_len))
-                gap = np.maximum.reduceat(x_h - x_l, seg_off[:-1])
-                done = (gap <= eps_x) | stuck
+            if interpolating:
+                # Illinois: when two interpolation steps in a row move the
+                # same end, the excess kept at the other end is halved
+                again = last_hi == move_hi
+                np.multiply(f_lo, 0.5, out=f_lo, where=again)
+                np.multiply(f_hi, 0.5, out=f_hi, where=again)
+                last_hi = move_hi.astype(np.int8)
+            np.copyto(f_hi, f, where=move_hi)
+            np.copyto(f_lo, f, where=move_lo)
+            if scanning:
+                last_hi[scan] = -1
+                np.copyto(bp_b, mid, where=scan & move_hi)
+                np.copyto(bp_a, mid + 1, where=scan & move_lo)
+            if small:
+                # the budget starts again at 4x the width after every step of
+                # the breakpoint phase and after each forced midpoint
+                reset = (scan | ~ok) if interpolating else scan
+                np.copyto(max_width, 4.0 * (lam_hi - lam_lo), where=reset)
+            # the true excess, not the halved one, decides a hit
+            near = live & (np.abs(f) <= half_eps)
+            if near.any():
+                np.copyto(x_fin, xm, where=np.repeat(near, seg_len))
+                hit |= near
             it += 1
             if it % 8 == 0:
                 _check_deadline(deadline)
-            n_done = np.count_nonzero(done)
-            if n_done == seg_tgt.size:
-                finalize(np.ones(seg_tgt.size, dtype=bool))
-                stats.kernel_steps += it
-                return x_out
-            if it >= max_iter:
-                if illinois:
-                    xl, xh = x_ends(~done)
-                    widest = float(np.max(xh - xl))
-                else:
-                    widest = float(gap[~done].max())
-                raise RuntimeError(
-                    f"multiplier search left {seg_tgt.size - n_done} segments open after "
-                    f"{it} steps; widest x-gap {widest} > eps_x {eps_x}"
-                )
-            if n_done * 2 >= seg_tgt.size:
-                # retire finished segments and compact the working set
-                finalize(done)
-                keep = ~done
-                if illinois:
-                    _, seg_off, seg_len, (out_pos, e_idx, e_lo, e_hi, x_fin) = _select_segments(
-                        keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_fin
-                    )
-                    f_lo, f_hi, max_width, last_hi, hit = (
-                        a[keep] for a in (f_lo, f_hi, max_width, last_hi, hit)
-                    )
-                else:
-                    _, seg_off, seg_len, (out_pos, e_idx, e_lo, e_hi, x_l, x_h) = _select_segments(
-                        keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_l, x_h
-                    )
-                seg_tgt = seg_tgt[keep]
-                inv = obj.inverse_map(e_idx)
-                lam_lo = lam_lo[keep]
-                lam_hi = lam_hi[keep]
 
 
 def _waterfill(x, hi, offsets, leftover, which):

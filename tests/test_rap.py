@@ -19,6 +19,7 @@ from nested_alloc import (
 )
 from nested_alloc import rap as rap_module
 from nested_alloc import solver
+from nested_alloc.model import POLE_FAMILIES
 from nested_alloc.oracles import rap_integer_greedy
 from nested_alloc.rap import (
     _bracket_segments,
@@ -171,7 +172,7 @@ class TestContinuous:
         d = c + rng.uniform(0.5, 1.5, 4)
         target = float(rng.uniform(c.sum(), d.sum()))
         idx = np.arange(4)
-        lam_lo, lam_hi = _bracket_segments(obj, idx, c, d, np.array([0, 4]), np.array([target]))
+        lam_lo, lam_hi = _bracket_segments(obj, idx, c, d, np.array([0, 4]), np.array([target]))[:2]
         assert lam_lo[0] <= lam_hi[0]
         sum_lo = _clamped_inverse(obj, idx, np.full(4, lam_lo[0]), c, d).sum()
         sum_hi = _clamped_inverse(obj, idx, np.full(4, lam_hi[0]), c, d).sum()
@@ -407,7 +408,7 @@ def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, 
     seg_tgt = targets[seg_ids]
     seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
 
-    lam_lo, lam_hi = _bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)
+    lam_lo, lam_hi = _bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)[:2]
     # allocations at the bracket ends, maintained incrementally per bisection
     x_l = _clamped_inverse(obj, e_idx, lam_lo[seg_of], e_lo, e_hi)
     x_h = _clamped_inverse(obj, e_idx, lam_hi[seg_of], e_lo, e_hi)
@@ -474,13 +475,6 @@ def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, 
             lam_hi = lam_hi[keep]
 
 
-@pytest.fixture
-def illinois_everywhere(monkeypatch):
-    """Interpolate in calls of every size: the kernel does so only in calls
-    of 2000 or more open elements, and these cases are small."""
-    monkeypatch.setattr(rap_module, "_ILLINOIS_MIN_ELEMENTS", 0)
-
-
 def _assert_matches_bisection(obj, c, d, lengths, targets, eps_x):
     """The kernel lands within eps_x of the bisection on every coordinate,
     stays in the box and hits every segment target up to rounding."""
@@ -521,7 +515,6 @@ def _custom_objective(n, rng):
     )
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
 def test_illinois_matches_bisection(family):
     rng = np.random.Generator(np.random.PCG64(70 + OBJECTIVE_FAMILIES.index(family)))
@@ -533,7 +526,6 @@ def test_illinois_matches_bisection(family):
             _assert_matches_bisection(obj, c, d, lengths, targets, eps_x)
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 def test_illinois_matches_bisection_custom_without_inverse():
     rng = np.random.Generator(np.random.PCG64(75))
     lengths = [1, 4, 2, 9, 3]
@@ -542,21 +534,19 @@ def test_illinois_matches_bisection_custom_without_inverse():
 
 
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
-def test_small_calls_bisect_bit_for_bit(family):
-    """Below the interpolation threshold the kernel is the bisection."""
+def test_small_calls_match_bisection(family):
+    """Below the gate the kernel runs the breakpoint phase before it
+    interpolates, and lands within eps_x of the bisection."""
     rng = np.random.Generator(np.random.PCG64(80 + OBJECTIVE_FAMILIES.index(family)))
     lengths = rng.permutation(MIXED_LENGTHS)
     c, d, targets = _random_boxes(rng, lengths)
-    assert c.size < rap_module._ILLINOIS_MIN_ELEMENTS
+    assert c.size < rap_module._BREAKPOINT_PHASE_ELEMENTS
     obj = random_objective(rng, family, c.size)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    idx = np.arange(c.size)
-    x = solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9)
-    assert np.array_equal(x, _bisect_reference(obj, idx, c, d, offsets, targets, 1e-9))
+    _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
 
 
 def test_illinois_matches_bisection_above_threshold():
-    """Calls big enough to interpolate without forcing it. Besides ordinary
+    """Calls big enough to skip the breakpoint phase. Besides ordinary
     targets they hold a segment at its box sum, one an ulp below it, which
     hits at a bracket end, and one at 0 on a floor of zeros. A CUSTOM call
     holds two segments that end stuck without a hit and have their bracket
@@ -564,7 +554,7 @@ def test_illinois_matches_bisection_above_threshold():
     x(lam) jumps at its multiplier, stuck at adjacent doubles."""
     rng = np.random.Generator(np.random.PCG64(76))
     lengths = [2500, 1, 7, 300, 2, 60, 40, 9]
-    assert sum(lengths) >= rap_module._ILLINOIS_MIN_ELEMENTS
+    assert sum(lengths) >= rap_module._BREAKPOINT_PHASE_ELEMENTS
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     for family in OBJECTIVE_FAMILIES:
         c, d, targets = _random_boxes(rng, lengths)
@@ -579,7 +569,7 @@ def test_illinois_matches_bisection_above_threshold():
     # CUSTOM: equal linear costs below n_flat; beyond it f' = x up to 1,
     # then flat at 1 up to x = 2, then x - 1, so x(lam) jumps from 1 to 2 at
     # lam = 1, where a target of 1.5 per element puts the multiplier
-    n_flat = rap_module._ILLINOIS_MIN_ELEMENTS
+    n_flat = rap_module._BREAKPOINT_PHASE_ELEMENTS
 
     def cost(i, x):
         if i < n_flat:
@@ -597,7 +587,6 @@ def test_illinois_matches_bisection_above_threshold():
     assert np.allclose(x[:n_flat], 2.5)
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 @pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])
 def test_illinois_pole_at_lower_zero(family):
     """f' is -inf at x = 0, so the bracket passes through an interior point."""
@@ -609,7 +598,6 @@ def test_illinois_pole_at_lower_zero(family):
     _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
 def test_illinois_infinite_uppers(family):
     rng = np.random.Generator(np.random.PCG64(78))
@@ -621,7 +609,6 @@ def test_illinois_infinite_uppers(family):
     assert np.all(np.isfinite(x))
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 def test_illinois_flat_marginals_waterfill():
     """Segments of equal linear marginals end at once (the bracket is one
     point) and spread their budget uniformly; a quadratic segment rides along."""
@@ -638,7 +625,6 @@ def test_illinois_flat_marginals_waterfill():
     assert np.allclose(x[:7], [2, 2, 2, 2.5, 2.5, 2.5, 2.5])
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
 def test_illinois_edge_targets_in_one_call(family):
     """One call mixing segments at their box sum, a rounding step below it,
@@ -674,7 +660,6 @@ def _near_box_ends(c, d, lengths, ulps):
     )
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
 @pytest.mark.parametrize("ulps", [1, 4])
 def test_root_stop_closes_plateau_before_bisection(family, ulps):
@@ -702,7 +687,6 @@ def test_root_stop_closes_plateau_before_bisection(family, ulps):
     assert np.all(np.abs(x - _bisect_reference(obj, idx, c, d, offsets, targets, 1e-12)) <= 1e-9)
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
 def test_root_stop_within_eps_of_tight_bisection(family):
     """With the root stop, every coordinate stays within eps_x of a bisection
@@ -728,7 +712,6 @@ def test_root_stop_within_eps_of_tight_bisection(family):
             assert np.all(np.abs(sums - targets) <= rounding)
 
 
-@pytest.mark.usefixtures("illinois_everywhere")
 def test_root_stop_fills_high_side_hit_downward():
     """A target just below the box sum hits at lam_hi, where x = d: the
     residual comes off x_h = d in index order, so the first element gives up
@@ -749,38 +732,171 @@ def test_root_stop_fills_high_side_hit_downward():
     assert np.all(np.abs(x - ref) <= eps_x / 2)
 
 
-@pytest.mark.parametrize("illinois", [False, True])
-def test_exhausted_search_raises(monkeypatch, illinois):
+@pytest.mark.parametrize("large", [False, True])
+def test_exhausted_search_raises(large):
     """A search cut off by max_iter with segments still open raises rather
-    than finalizing a point with no eps guarantee."""
-    if illinois:
-        monkeypatch.setattr(rap_module, "_ILLINOIS_MIN_ELEMENTS", 0)
+    than finalizing a point with no eps guarantee, in a call below the gate
+    (still in its breakpoint phase) and in one above it."""
     rng = np.random.Generator(np.random.PCG64(81))
-    lengths = [1, 40, 7, 150]
+    lengths = [1, 40, 7, 150] + [rap_module._BREAKPOINT_PHASE_ELEMENTS] * large
     c, d, targets = _random_boxes(rng, lengths)
+    assert (c.size >= rap_module._BREAKPOINT_PHASE_ELEMENTS) == large
     obj = random_objective(rng, Family.CRASHING, c.size)
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     idx = np.arange(c.size)
-    with pytest.raises(RuntimeError, match=r"left 3 segments open after 3 steps; widest x-gap"):
+    message = rf"left {3 + large} segments open after 3 steps; widest x-gap"
+    with pytest.raises(RuntimeError, match=message):
         solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9, max_iter=3)
     x = solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9)
     assert np.all((x >= c) & (x <= d))
 
 
+EXACT_STEP_FAMILIES = [Family.CRASHING, Family.FUELOPT, Family.QUADRATIC]
+
+
+@pytest.mark.parametrize("family", EXACT_STEP_FAMILIES)
+@pytest.mark.parametrize("k", [2, 100, 1000])
+def test_single_segment_steps_logarithmic(family, k):
+    """One segment of K elements has at most 2K - 2 breakpoints inside its
+    bracket, so the breakpoint phase takes at most ceil(log2(2K)) steps. The
+    bracket then holds no kink, and the families whose x is affine in lam or
+    in h(lam) land on the root in one more step."""
+    rng = np.random.Generator(np.random.PCG64(100 + k))
+    for _ in range(5):
+        c, d, (target,) = _random_boxes(rng, [k])
+        obj = random_objective(rng, family, k)
+        stats = SolveStats()
+        x = solve_segments_continuous(obj, *one_segment(c, d, target), 1e-9, stats=stats)
+        assert stats.kernel_steps <= math.ceil(math.log2(2 * k)) + 2
+        assert np.all(np.abs(x - _bisect_reference(obj, *one_segment(c, d, target), 1e-12)) <= 1e-9)
+
+
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_tied_breakpoints(family):
+    """Two groups of elements with equal parameters and boxes: all their
+    breakpoints tie at four values, two of them the bracket ends, so the
+    breakpoint phase visits at most two before the kink-free finish."""
+    rng = np.random.Generator(np.random.PCG64(110 + OBJECTIVE_FAMILIES.index(family)))
+    k = 500
+    one = [random_objective(rng, family, 1) for _ in range(2)]
+    params = {key: np.repeat([o.params[key][0] for o in one], k) for key in one[0].params}
+    obj = ObjectiveSpec(family, params)
+    c = np.repeat(rng.uniform(0.2, 1.0, 2), k)
+    d = c + np.repeat(rng.uniform(0.5, 2.0, 2), k)
+    for share in (0.1, 0.5, 0.9):
+        target = c.sum() + share * (d - c).sum()
+        stats = SolveStats()
+        x = _assert_matches_bisection(obj, c, d, [2 * k], [target], 1e-9)
+        solve_segments_continuous(obj, *one_segment(c, d, target), 1e-9, stats=stats)
+        if family in EXACT_STEP_FAMILIES:
+            assert stats.kernel_steps <= 4
+        # tied elements stay tied up to the residual fill
+        assert np.ptp(x[:k]) <= 1e-9 and np.ptp(x[k:]) <= 1e-9
+
+
+def test_small_custom_jump_ends_stuck():
+    """x(lam) jumps from 1 to 2 at lam = 1 inside a bracket [0, 3] that
+    holds no breakpoint: no step can hit a target of 1.5 per element, so the
+    search ends stuck at adjacent doubles long before max_iter, evaluates its
+    bracket ends and fills up from x = 1 in index order."""
+
+    def cost(i, x):
+        w = max(x - 2.0, 0.0)
+        return 0.5 * min(x, 1.0) ** 2 + min(max(x - 1.0, 0.0), 1.0) + 0.5 * w * w + w
+
+    def slope(i, x):
+        return min(x, 1.0) + max(x - 2.0, 0.0)
+
+    obj = ObjectiveSpec(Family.CUSTOM, {}, value_fn=cost, derivative_fn=slope)
+    c, d = np.zeros(5), np.full(5, 4.0)
+    stats = SolveStats()
+    x = solve_segments_continuous(obj, *one_segment(c, d, 7.5), 1e-9, stats=stats)
+    assert np.allclose(x, [2.0, 2.0, 1.5, 1.0, 1.0], rtol=0, atol=1e-9)
+    # about 52 halvings of a bracket 3 wide, at most four steps each
+    assert stats.kernel_steps <= 4 * 53
+    _assert_matches_bisection(obj, c, d, [5], [7.5], 1e-9)
+
+
+def _flat_objective(n, flat, rng):
+    """CUSTOM objective: linear costs of slope 3 on the elements flagged in
+    `flat`, convex quadratics on the others."""
+    w = rng.uniform(0.3, 2.0, n)
+    t = rng.uniform(-2.0, 4.0, n)
+    return ObjectiveSpec(
+        Family.CUSTOM,
+        {},
+        value_fn=lambda i, x: 3.0 * x if flat[i] else w[i] * (x - t[i]) ** 2,
+        derivative_fn=lambda i, x: 3.0 if flat[i] else 2.0 * w[i] * (x - t[i]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(OBJECTIVE_FAMILIES + [Family.CUSTOM]),
+    lengths=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    pole=st.booleans(),
+    unbounded=st.booleans(),
+    edge=st.sampled_from(["none", "at", "ulp"]),
+    eps_x=st.sampled_from([1e-6, 1e-9, 1e-12]),
+)
+def test_small_calls_within_eps_of_tight_bisection(
+    family, lengths, seed, pole, unbounded, edge, eps_x
+):
+    """Calls below the gate land within eps_x of a bisection run to
+    eps_x * 1e-3, inside the box, with exact segment sums. Draws cover poles
+    at 0, infinite uppers, segments of flat marginals (CUSTOM, linear costs)
+    and targets at or an ulp inside either box sum."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if family is Family.CUSTOM:  # per-element Python callbacks: keep it small
+        lengths = [min(n, 8) for n in lengths[:4]]
+    c, d, targets = _random_boxes(rng, lengths)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    if pole and family in POLE_FAMILIES:
+        c[rng.random(c.size) < 0.5] = 0.0
+    if unbounded:
+        d[rng.random(d.size) < 0.3] = np.inf
+    if edge != "none":
+        sum_c = np.add.reduceat(c, offsets[:-1])
+        sum_d = np.add.reduceat(d, offsets[:-1])
+        ulps = 1.0 if edge == "ulp" else 0.0
+        upper = rng.random(len(lengths)) < 0.5
+        near = np.where(
+            upper & np.isfinite(sum_d),
+            sum_d - ulps * np.spacing(sum_d),
+            sum_c + ulps * np.spacing(sum_c),
+        )
+        targets = np.where(rng.random(len(lengths)) < 0.7, near, targets)
+    if family is Family.CUSTOM:
+        seg_flat = rng.random(len(lengths)) < 0.5
+        obj = _flat_objective(c.size, np.repeat(seg_flat, lengths), rng)
+    else:
+        obj = random_objective(rng, family, c.size)
+    assert c.size < rap_module._BREAKPOINT_PHASE_ELEMENTS
+    idx = np.arange(c.size)
+    x = solve_segments_continuous(obj, idx, c, d, offsets, targets, eps_x)
+    ref = _bisect_reference(obj, idx, c, d, offsets, targets, eps_x * 1e-3)
+    assert np.all(np.abs(x - ref) <= eps_x)
+    assert np.all((x >= c) & (x <= d))
+    sums = np.add.reduceat(x, offsets[:-1])
+    rounding = 8 * np.finfo(float).eps * np.add.reduceat(np.abs(x), offsets[:-1])
+    assert np.all(np.abs(sums - targets) <= rounding)
+
+
 class _StepCounter(ObjectiveSpec):
     """Counts calls of the maps `inverse_map` hands out, one per multiplier
-    step plus one per bracket end, and the elements they evaluate. The
-    bisection reference reaches the same maps through
+    step plus one where a call evaluates its bracket ends, and the elements
+    they evaluate. The bisection reference reaches the same maps through
     `inverse_derivative_at`, so both kernels are counted alike."""
 
     def inverse_map(self, idx):
         inv = super().inverse_map(idx)
         calls = self.calls
 
-        def counted(lam, seg_len=None):
+        def counted(lam, seg_len=None, k=None):
             calls[0] += 1
             calls[1] += np.size(lam) if seg_len is None else int(seg_len.sum())
-            return inv(lam, seg_len)
+            return inv(lam, seg_len, k)
 
         return counted
 

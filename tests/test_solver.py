@@ -310,26 +310,39 @@ class _EvalCounter(ObjectiveSpec):
         return super().value_at(idx, x)
 
 
-@pytest.mark.parametrize("mode", ["cont", "int"])
+@pytest.mark.parametrize("mode", ["cont", "cont-pole", "int"])
 def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
     """`SolveStats.kernel_steps` and `kernel_evals` equal what a counting
-    objective sees inside the kernels. Steps: map calls less the two bracket
-    ends per call with open segments (continuous), or one map call per step
-    (integer). Evaluations: map plus derivative elements (continuous), or
-    map elements plus value-map elements over two (integer)."""
+    objective sees inside the kernels. Steps: map calls less the one call
+    that evaluates the bracket ends of a continuous call holding a bracket
+    through an interior point, or one map call per step (integer).
+    Evaluations: map plus derivative elements (continuous), or map elements
+    plus value-map elements over two (integer). In "cont-pole" every other
+    lower bound sits at the pole, so brackets pass through an interior
+    point."""
     inst = generate_instance("crashing", 300, 300, 4)
     if mode == "int":
         inst = _scaled_integer_instance(inst, 1e6)
+    if mode == "cont-pole":
+        inst = dataclasses.replace(inst, lower=np.where(np.arange(inst.n) % 2, inst.lower, 0.0))
     counter = _EvalCounter(inst.objective.family, inst.objective.params)
     object.__setattr__(counter, "on", [False])
     kinds = ("inverse_calls", "inverse", "derivative", "value", "value_at")
     object.__setattr__(counter, "counts", dict.fromkeys(kinds, 0))
     inst = dataclasses.replace(inst, objective=counter)
     open_calls = [0]
+    end_calls = [0]
 
     def counting(kernel):
         def wrapped(obj, idx, lo, hi, offsets, targets, *args):
-            open_calls[0] += bool(rap_module._fast_paths(lo, hi, offsets, targets)[1].any())
+            open_seg = rap_module._fast_paths(lo, hi, offsets, targets)[1]
+            open_calls[0] += bool(open_seg.any())
+            if open_seg.any() and kernel is solve_segments_continuous:
+                _, sub_off, _, (i, c, d) = rap_module._select_segments(
+                    open_seg, offsets, idx, lo, hi
+                )
+                bad = rap_module._bracket_segments(obj, i, c, d, sub_off, targets[open_seg])[2]
+                end_calls[0] += bool(bad.any())
             counter.on[0] = True
             try:
                 return kernel(obj, idx, lo, hi, offsets, targets, *args)
@@ -340,13 +353,14 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
 
     for name in ("solve_segments_continuous", "solve_segments_integer"):
         monkeypatch.setattr(solver_mod, name, counting(getattr(solver_mod, name)))
-    sol, stats = solve(inst, 1e-8 if mode == "cont" else None)
+    sol, stats = solve(inst, None if mode == "int" else 1e-8)
     assert sol.status is Status.OPTIMAL
     counts = counter.counts
     assert open_calls[0] > 0 and counts["value_at"] == 0
-    if mode == "cont":
+    if mode != "int":
         assert counts["value"] == 0
-        assert stats.kernel_steps == counts["inverse_calls"] - 2 * open_calls[0] > 0
+        assert (end_calls[0] > 0) == (mode == "cont-pole") and end_calls[0] <= open_calls[0]
+        assert stats.kernel_steps == counts["inverse_calls"] - end_calls[0] > 0
         assert stats.kernel_evals == counts["inverse"] + counts["derivative"]
         assert counts["inverse"] > counts["derivative"] > 0
     else:
