@@ -70,12 +70,13 @@ def _scaled_integer_instance(inst: NestedInstance, scale: float) -> NestedInstan
 
 
 def _integer_feasibility(inst: NestedInstance, x: np.ndarray, tau: float) -> dict:
-    """The check `verify` makes on an integer solution: the total, the
-    partial-sum bounds and the boxes, each within tau."""
+    """The check `verify` makes on an integer solution: integrality, the
+    total, the partial-sum bounds and the boxes, each within tau."""
     y = prefix_sums(inst, x)
     slacks = inst.a - y[: inst.m - 1]
     ok = bool(
-        abs(y[-1] - inst.B) <= tau
+        np.all(np.abs(x - np.round(x)) <= tau)
+        and abs(y[-1] - inst.B) <= tau
         and np.all(slacks >= -tau)
         and np.all(x >= inst.lower - tau)
         and np.all(x <= inst.upper + tau)
@@ -105,22 +106,16 @@ def _solve_with(inst: NestedInstance, solver: str, eps: float | None, time_limit
     if solver == "decomp":
         return solve(inst, eps=eps if inst.mode is Mode.CONTINUOUS else None,
                      time_limit_s=time_limit)
-    if solver == "greedy":
-        t0 = time.perf_counter()
-        sol = greedy_solve(inst)
-        stats = SolveStats(wall_ms=(time.perf_counter() - t0) * 1e3)
-        if sol.status is Status.OPTIMAL:
-            stats.active_constraints = count_active_constraints(inst, sol, 0.0)
-        return sol, stats
-    if solver == "hull":
-        t0 = time.perf_counter()
-        sol = hull_solve_instance(inst)
-        stats = SolveStats(wall_ms=(time.perf_counter() - t0) * 1e3)
-        stats.active_constraints = count_active_constraints(
-            inst, sol, active_tolerance(inst, 1e-12)
-        )
-        return sol, stats
-    raise ValueError(f"unknown solver '{solver}'")
+    solvers = {"greedy": greedy_solve, "hull": hull_solve_instance}
+    if solver not in solvers:
+        raise ValueError(f"unknown solver '{solver}'")
+    t0 = time.perf_counter()
+    sol = solvers[solver](inst)
+    stats = SolveStats(wall_ms=(time.perf_counter() - t0) * 1e3)
+    if sol.x is not None:
+        tol = 0.0 if inst.mode is Mode.INTEGER else active_tolerance(inst, 1e-12)
+        stats.active_constraints = count_active_constraints(inst, sol.x, tol)
+    return sol, stats
 
 
 def cmd_solve(args) -> int:
@@ -171,13 +166,14 @@ class BenchConfig:
             raise ValidationError("epsilon", "continuous mode needs epsilon > 0")
 
     @classmethod
-    def from_file(cls, path: str) -> "BenchConfig":
+    def from_file(cls, path: str, **overrides) -> "BenchConfig":
+        """The file's config with `overrides` in place, validated once."""
         doc = json.loads(Path(path).read_text())
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(doc) - known
         if unknown:
             raise ValidationError("config", f"unknown keys {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**{**doc, **overrides})
 
 
 def _bench_cell(cfg: BenchConfig, family: str, n: int, m: int, trial: int):
@@ -217,12 +213,11 @@ def _bench_cell(cfg: BenchConfig, family: str, n: int, m: int, trial: int):
 
 def cmd_bench(args) -> int:
     try:
-        cfg = BenchConfig.from_file(args.config)
-        for name in ("trials", "seed", "epsilon", "time_limit_s"):
-            if getattr(args, name, None) is not None:
-                setattr(cfg, name, getattr(args, name))
-        if args.out is not None:
-            cfg.output = args.out
+        flags = {"trials": args.trials, "seed": args.seed, "epsilon": args.epsilon,
+                 "time_limit_s": args.time_limit_s, "output": args.out}
+        cfg = BenchConfig.from_file(
+            args.config, **{k: v for k, v in flags.items() if v is not None}
+        )
     except (OSError, ValidationError, TypeError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     out = Path(cfg.output)

@@ -12,8 +12,6 @@ the growth experiment measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
@@ -30,7 +28,8 @@ SLOPE_REL_TOL = 2.0**-40
 
 
 class HullEligibilityError(ValueError):
-    """Objective family does not have the scale-invariant shape."""
+    """Objective family does not have the scale-invariant shape, or the
+    instance is integer, where the envelope does not give the optimum."""
 
 
 class HullNotApplicableError(RuntimeError):
@@ -62,28 +61,7 @@ def scale_parameters(inst: NestedInstance) -> np.ndarray:
     raise HullEligibilityError(f"family '{obj.family.value}' is not hull-eligible")
 
 
-@dataclass(frozen=True)
-class HullInstance:
-    """Point set of the geometric reduction plus the data to map back."""
-
-    gamma: np.ndarray
-    Gamma: np.ndarray  # prefix sums, length n+1, Gamma[0] = 0
-    points_x: np.ndarray  # abscissas Gamma[s[j]], j = 0..m
-    points_y: np.ndarray  # ordinates 0, a_1, ..., a_{m-1}, B
-    instance: NestedInstance
-
-
-def build_hull_instance(inst: NestedInstance) -> HullInstance:
-    gamma = scale_parameters(inst)
-    if np.any(gamma <= 0):
-        raise HullEligibilityError("scales must be positive")
-    Gamma = np.concatenate([[0.0], np.cumsum(gamma)])
-    px = Gamma[inst.positions]
-    py = np.concatenate([[0.0], inst.a, [inst.B]])
-    return HullInstance(gamma=gamma, Gamma=Gamma, points_x=px, points_y=py, instance=inst)
-
-
-def lower_hull_vertices(px: np.ndarray, py: np.ndarray, rel_tol: float = SLOPE_REL_TOL) -> np.ndarray:
+def lower_hull_vertices(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Indices of the lower convex hull of points sorted by abscissa.
 
     A middle point survives only when the slope strictly increases through
@@ -101,7 +79,7 @@ def lower_hull_vertices(px: np.ndarray, py: np.ndarray, rel_tol: float = SLOPE_R
             dx2, dy2 = px[k] - px[b], py[k] - py[b]
             cross = dx1 * dy2 - dx2 * dy1
             scale = abs(dx1 * dy2) + abs(dx2 * dy1)
-            if cross <= rel_tol * scale:
+            if cross <= SLOPE_REL_TOL * scale:
                 keep.pop()
             else:
                 break
@@ -109,16 +87,26 @@ def lower_hull_vertices(px: np.ndarray, py: np.ndarray, rel_tol: float = SLOPE_R
     return np.asarray(keep, dtype=np.int64)
 
 
-def hull_solve(hi: HullInstance) -> Solution:
-    """Exact solution read off the lower envelope of the reduction points."""
-    inst = hi.instance
-    verts = lower_hull_vertices(hi.points_x, hi.points_y)
-    vx = hi.points_x[verts]
-    vy = hi.points_y[verts]
+def hull_solve_instance(inst: NestedInstance) -> Solution:
+    """Exact continuous solution read off the lower envelope of the points
+    (Gamma[s[j]], a_j), Gamma the prefix sums of the scales. Integer
+    instances raise HullEligibilityError: that point is no integer optimum.
+    """
+    if inst.mode is Mode.INTEGER:
+        raise HullEligibilityError("integer instances need the decomp or greedy solver")
+    gamma = scale_parameters(inst)
+    if np.any(gamma <= 0):
+        raise HullEligibilityError("scales must be positive")
+    Gamma = np.concatenate([[0.0], np.cumsum(gamma)])
+    px = Gamma[inst.positions]
+    py = np.concatenate([[0.0], inst.a, [inst.B]])
+    verts = lower_hull_vertices(px, py)
+    vx = px[verts]
+    vy = py[verts]
     slopes = np.diff(vy) / np.diff(vx)
     # each variable spans (Gamma[i-1], Gamma[i]) inside exactly one segment
-    seg = np.clip(np.searchsorted(vx, hi.Gamma[:-1], side="right") - 1, 0, slopes.size - 1)
-    x = hi.gamma * slopes[seg]
+    seg = np.clip(np.searchsorted(vx, Gamma[:-1], side="right") - 1, 0, slopes.size - 1)
+    x = gamma * slopes[seg]
     sol = Solution(x, objective_value(inst, x), Status.OPTIMAL)
     tol = 1e-9 * (1.0 + np.abs(x))
     if np.any(x > inst.upper + tol):
@@ -134,10 +122,6 @@ def hull_solve(hi: HullInstance) -> Solution:
             sol,
         )
     return sol
-
-
-def hull_solve_instance(inst: NestedInstance) -> Solution:
-    return hull_solve(build_hull_instance(inst))
 
 
 def lifted_crashing_instance(n: int, seed: int) -> NestedInstance:

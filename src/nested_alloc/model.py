@@ -9,7 +9,7 @@ integer or all continuous.
 Objective families evaluate vectorized over variable indices. For the
 continuous multiplier search, `ObjectiveSpec.inverse_map` gathers a family's
 per-variable constants once and returns x(lam) = (f')^-1(lam) as a function
-of one multiplier per segment; `inverse_derivative_at` is its per-element case.
+of one multiplier per segment, or of one per element at chosen positions.
 `ObjectiveSpec.multiplier_coordinate` names the coordinate h(lam) in which
 the pole families' x(lam) is linear, where the search interpolates. The
 integer kernel probes the same maps at single elements and prices units
@@ -227,11 +227,6 @@ class ObjectiveSpec:
 
         return val
 
-    def inverse_derivative_at(self, idx: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
-        """Solve f'_i(x) = lam for x, unclamped. None if no closed form."""
-        inv = self.inverse_map(idx)
-        return None if inv is None else inv(lam)
-
     def inverse_map(self, idx: np.ndarray) -> Callable[..., np.ndarray] | None:
         """Unclamped x_k(lam) = (f'_{idx[k]})^-1(lam), constants gathered once.
 
@@ -243,7 +238,8 @@ class ObjectiveSpec:
         arithmetic operations per element. Given positions `k` (and no
         seg_len), it evaluates only the elements at positions k of `idx`,
         element k[j] at lam[j]. The pole families give +inf for lam >= 0 and 0
-        at lam = -inf. None for CUSTOM, which has no closed form.
+        at lam = -inf. None for CUSTOM, which has no closed form; the
+        continuous kernel inverts its f' by bisection instead.
         """
         fam = self.family
         if fam is Family.CUSTOM:

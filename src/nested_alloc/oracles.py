@@ -186,30 +186,23 @@ class KktReport:
         }
 
 
-def verify_kkt(
-    inst: NestedInstance,
-    sol: Solution,
-    tau: float,
-    y_tol: float | None = None,
-    bound_tol: float | None = None,
-) -> KktReport:
+def verify_kkt(inst: NestedInstance, sol: Solution, tau: float) -> KktReport:
     """Check the equal-marginal conditions of a continuous solution.
 
     Inside a block every free adjacent pair must share its marginal within
     tau; pairs involving an active box bound degrade to the one-sided
     inequality the bound multiplier allows. Across a breakpoint the left
     marginal may drop below the right one only when that partial-sum bound is
-    active (within y_tol).
+    active (within y_tol = max(1e-8 (1 + B), tau)). Box bounds are judged
+    within 1e-9 (1 + |x_i|).
     """
     if not inst.objective.differentiable:
         raise ValueError("verification needs a derivative")
     if sol.x is None:
         raise ValueError("nothing to verify: solution carries no allocation")
     x = np.asarray(sol.x, dtype=np.float64)
-    if y_tol is None:
-        y_tol = max(1e-8 * (1.0 + abs(inst.B)), tau)
-    if bound_tol is None:
-        bound_tol = 1e-9 * (1.0 + np.abs(x))
+    y_tol = max(1e-8 * (1.0 + abs(inst.B)), tau)
+    bound_tol = 1e-9 * (1.0 + np.abs(x))
 
     y = prefix_sums(inst, x)
     slacks = inst.a - y[: inst.m - 1]
@@ -270,10 +263,8 @@ def verify_kkt(
     )
 
 
-def count_active_constraints(inst: NestedInstance, x: np.ndarray | Solution, tol: float) -> int:
+def count_active_constraints(inst: NestedInstance, x: np.ndarray, tol: float) -> int:
     """Number of interior partial-sum bounds met within tol by the allocation."""
-    if isinstance(x, Solution):
-        x = x.x
     if inst.m == 1:
         return 0
     y = prefix_sums(inst, x)[: inst.m - 1]

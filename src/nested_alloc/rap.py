@@ -51,14 +51,14 @@ inside x(lam_hi) - x(lam_lo). Large calls retire finished segments and
 compact the working set once half of them are done; small calls finalize
 once, at the end.
 
-Every step evaluates x(lam) through the objective's inverse map
-(`ObjectiveSpec.inverse_map`), built once per call and again after each
-compaction, so per-variable constants are gathered once and the work that
-depends on lam alone runs per segment; CUSTOM objectives, which have no map,
-invert f' by inner bisection. A segment whose residual cannot be placed in
-its gaps has flat marginals, and its budget is spread uniformly. A search
-that still has open segments after `max_iter` steps raises instead of
-returning an unconverged point.
+Every step evaluates x(lam) through one map per call (`_inverse_map`), built
+again after each compaction: the objective's `ObjectiveSpec.inverse_map`,
+which gathers per-variable constants once and runs the work that depends on
+lam alone per segment, or for CUSTOM objectives, which have no closed form,
+a map of the same signature that inverts f' by bisection inside the boxes.
+A segment whose residual cannot be placed in its gaps has flat marginals,
+and its budget is spread uniformly. A search that still has open segments
+after `max_iter` steps raises instead of returning an unconverged point.
 
 The integer kernel runs the same search over unit marginal costs
 f_i(t) - f_i(t-1). It keeps the unit allocations at both bracket ends, so
@@ -93,7 +93,7 @@ import time
 
 import numpy as np
 
-from .model import ObjectiveSpec, SolveStats
+from .model import ObjectiveSpec, SolveStats, _at, _pick
 
 
 class SolveTimeout(RuntimeError):
@@ -153,18 +153,21 @@ def _segment_fill(lo, gaps, offsets, residuals, lengths):
     return lo + take
 
 
-def _clamped_inverse(obj, idx, lam_e, lo, hi):
-    x = obj.inverse_derivative_at(idx, lam_e)
-    if x is None:  # custom objective: invert f' by inner bisection
-        x = _bisect_inverse(obj, idx, lam_e, lo, hi)
-    x = np.maximum(x, lo)
-    return np.minimum(x, hi, out=x)
+def _inverse_map(obj, idx, lo, hi):
+    """`obj.inverse_map(idx)`, or for CUSTOM a map of the same signature
+    that inverts f' by bisection inside the boxes [lo, hi]."""
+    inv = obj.inverse_map(idx)
+    if inv is not None:
+        return inv
+    return lambda lam, seg_len=None, k=None: _bisect_inverse(
+        obj, _pick(idx, k), _at(lam, seg_len), _pick(lo, k), _pick(hi, k)
+    )
 
 
-def _bisect_inverse(obj, idx, lam_e, lo, hi, iters: int = 80):
+def _bisect_inverse(obj, idx, lam_e, lo, hi):
     a = lo.copy()
     b = np.where(np.isfinite(hi), hi, np.maximum(lo, 1.0) * 2.0**40)
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (a + b)
         up = obj.derivative_at(idx, mid) <= lam_e
         a = np.where(up, mid, a)
@@ -286,14 +289,12 @@ def solve_segments_continuous(
     )
     seg_tgt = targets[open_seg]
     small = e_idx.size < _BREAKPOINT_PHASE_ELEMENTS
-    inv = obj.inverse_map(e_idx)
+    inv = _inverse_map(obj, e_idx, e_lo, e_hi)
     coord = obj.multiplier_coordinate() if small else None
 
     def x_at(lam):
         """Clamped x(lam) of every open element, lam given per segment."""
         stats.kernel_evals += e_idx.size
-        if inv is None:  # custom objective: invert f' by inner bisection
-            return _clamped_inverse(obj, e_idx, np.repeat(lam, seg_len), e_lo, e_hi)
         x = inv(lam, seg_len)
         np.maximum(x, e_lo, out=x)
         return np.minimum(x, e_hi, out=x)
@@ -305,12 +306,9 @@ def solve_segments_continuous(
         k = np.concatenate([pos, pos])
         lam_e = np.repeat(np.concatenate([lam_lo[sel], lam_hi[sel]]), np.tile(sub_len, 2))
         stats.kernel_evals += k.size
-        if inv is None:
-            x = _clamped_inverse(obj, e_idx[k], lam_e, e_lo[k], e_hi[k])
-        else:
-            x = inv(lam_e, k=k)
-            np.maximum(x, e_lo[k], out=x)
-            np.minimum(x, e_hi[k], out=x)
+        x = inv(lam_e, k=k)
+        np.maximum(x, e_lo[k], out=x)
+        np.minimum(x, e_hi[k], out=x)
         return pos, x[: pos.size], x[pos.size :]
 
     lam_lo, lam_hi, bad, d_lo, d_hi = _bracket_segments(
@@ -416,7 +414,7 @@ def solve_segments_continuous(
                     for a in (lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, hit, seg_tgt)
                 )
                 done = hit
-                inv = obj.inverse_map(e_idx)
+                inv = _inverse_map(obj, e_idx, e_lo, e_hi)
             live = ~done
             scanning, interpolating = False, True
             if small:

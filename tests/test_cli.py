@@ -122,6 +122,20 @@ class TestSolve:
         sol = read_solution(out.read_bytes())
         assert np.allclose(sol.x, [1.0, 3.0])
 
+    def test_hull_rejects_integer_instance(self, tmp_path, capsys):
+        """The envelope's optimum of this instance is [1.5, 1.5], which is no
+        integer allocation."""
+        doc = {
+            "n": 2, "m": 1, "s": [2], "a": [], "B": 3.0,
+            "lower": [0.0, 0.0], "upper": [10.0, 10.0], "mode": "integer",
+            "objective": {"family": "quadratic", "params": {"w": [1, 1], "t": [0, 0]}},
+        }
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve", path, "--solver", "hull"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_greedy_solver_requires_integer(self, quad_instance_file):
         assert run(["solve", quad_instance_file, "--solver", "greedy"]) == 1
 
@@ -156,6 +170,25 @@ class TestVerify:
         sol = tmp_path / "sol.json"
         assert run(["solve", inst, "--out", sol]) == 0
         assert run(["verify", inst, sol, "--tau", 0.0]) == 0
+
+    def test_fractional_integer_solution_fails(self, tmp_path, capsys):
+        """A feasible but fractional allocation of an integer instance is
+        refused at --tau 0, and accepted once --tau covers its distance to
+        the integers."""
+        doc = {
+            "n": 2, "m": 1, "s": [2], "a": [], "B": 3.0,
+            "lower": [0.0, 0.0], "upper": [10.0, 10.0], "mode": "integer",
+            "objective": {"family": "quadratic", "params": {"w": [1, 1], "t": [0, 0]}},
+        }
+        inst = tmp_path / "int.json"
+        inst.write_text(json.dumps(doc))
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"status": "optimal", "x": [1.5, 1.5], "objective": 4.5}))
+        assert run(["verify", inst, sol, "--tau", 0.0]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["feasible"] is False and report["verdict"] is False
+        assert report["sum_gap"] == 0.0
+        assert run(["verify", inst, sol, "--tau", 0.5]) == 0
 
     def test_dimension_mismatch(self, quad_instance_file, tmp_path):
         sol = tmp_path / "sol.json"
@@ -270,3 +303,11 @@ class TestBench:
         assert run(["bench", cfg, "--trials", 2, "--seed", 99, "--out", out2]) == 0
         rows = [r for r in csv.DictReader(out2.open()) if r["seed"]]
         assert [int(r["seed"]) for r in rows] == [99, 100]
+
+    @pytest.mark.parametrize("flag", [["--trials", 0], ["--epsilon", -1.0]])
+    def test_invalid_flag_override_rejected(self, tmp_path, capsys, flag):
+        """Flag values are validated like the config file's own values."""
+        cfg, out = self.make_config(tmp_path, trials=1)
+        assert run(["bench", cfg, *flag]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

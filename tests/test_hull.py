@@ -17,13 +17,7 @@ from nested_alloc import (
     solve,
     verify_kkt,
 )
-from nested_alloc.hull import (
-    build_hull_instance,
-    growth_rows_to_csv,
-    hull_solve,
-    lower_hull_vertices,
-    scale_parameters,
-)
+from nested_alloc.hull import growth_rows_to_csv, lower_hull_vertices, scale_parameters
 
 
 def quad_instance(a, B, upper=10.0):
@@ -76,8 +70,7 @@ class TestHullSolve:
             objective=ObjectiveSpec(Family.CRASHING, {"k": np.zeros(n), "p": p}),
             mode=Mode.CONTINUOUS,
         )
-        hi = build_hull_instance(inst)
-        sol = hull_solve(hi)
+        sol = hull_solve_instance(inst)
         gamma = np.sqrt(p)
         assert np.allclose(sol.x, gamma * 4.0 / gamma.sum())
 
@@ -120,6 +113,17 @@ class TestHullSolve:
             n=2, m=1, s=[2], a=[], B=4.0, lower=np.zeros(2), upper=np.full(2, 9.0),
             objective=ObjectiveSpec(Family.QUADRATIC, {"w": np.ones(2), "t": np.array([1.0, 0.0])}),
             mode=Mode.CONTINUOUS,
+        )
+        with pytest.raises(HullEligibilityError):
+            hull_solve_instance(inst)
+
+    def test_integer_instance_not_eligible(self):
+        """The envelope gives [1.5, 1.5] here, which no integer solve may
+        return as optimal."""
+        inst = NestedInstance(
+            n=2, m=1, s=[2], a=[], B=3.0, lower=np.zeros(2), upper=np.full(2, 10.0),
+            objective=ObjectiveSpec(Family.QUADRATIC, {"w": np.ones(2), "t": np.zeros(2)}),
+            mode=Mode.INTEGER,
         )
         with pytest.raises(HullEligibilityError):
             hull_solve_instance(inst)

@@ -156,7 +156,7 @@ class TestInverseMap:
     def test_map_is_per_element_inverse_bit_for_bit(self, family, rng):
         spec, idx, lam, seg_len, lam_e = self._case(rng, family)
         x = spec.inverse_map(idx)(lam, seg_len)
-        assert np.array_equal(x, spec.inverse_derivative_at(idx, lam_e))
+        assert np.array_equal(x, spec.inverse_map(idx)(lam_e))
 
     @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
     def test_map_matches_previous_formulas(self, family, rng):
@@ -179,6 +179,26 @@ class TestInverseMap:
         x = spec.inverse_map(idx)(lam_e[k], k=k)
         assert np.array_equal(x, spec.inverse_map(idx)(lam, seg_len)[k])
 
+    def test_custom_map_is_per_element_bisection(self, rng):
+        """The continuous kernel's map for CUSTOM runs `_bisect_inverse`
+        inside the boxes: per segment and at positions k, bit for bit."""
+        ref, idx, lam, seg_len, lam_e = self._case(rng, Family.QUADRATIC)
+        w, t = ref.params["w"], ref.params["t"]
+        spec = ObjectiveSpec(
+            Family.CUSTOM, {},
+            value_fn=lambda i, x: w[i] * (x - t[i]) ** 2,
+            derivative_fn=lambda i, x: 2.0 * w[i] * (x - t[i]),
+        )
+        lo = rng.uniform(-5.0, 0.0, idx.size)
+        hi = np.where(rng.random(idx.size) < 0.2, np.inf, lo + rng.uniform(0.0, 10.0, idx.size))
+        inv = rap._inverse_map(spec, idx, lo, hi)
+        x = inv(lam, seg_len)
+        assert np.array_equal(x, rap._bisect_inverse(spec, idx, lam_e, lo, hi))
+        k = rng.integers(0, idx.size, 80)
+        x_k = inv(lam_e[k], k=k)
+        assert np.array_equal(x_k, rap._bisect_inverse(spec, idx[k], lam_e[k], lo[k], hi[k]))
+        assert np.array_equal(x_k, x[k])
+
     @pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])
     def test_pole_families_at_the_ends(self, family, rng):
         spec = random_objective(rng, family, 5)
@@ -186,7 +206,7 @@ class TestInverseMap:
         lam = np.array([0.0, -0.0, 2.5, np.inf, -np.inf])
         expected = [np.inf, np.inf, np.inf, np.inf, 0.0]
         assert np.array_equal(spec.inverse_map(idx)(lam, np.ones(5, dtype=np.int64)), expected)
-        assert np.array_equal(spec.inverse_derivative_at(idx, lam), expected)
+        assert np.array_equal(spec.inverse_map(idx)(lam), expected)
 
     def test_custom_has_no_map_and_still_solves(self, monkeypatch):
         spec = ObjectiveSpec(
@@ -194,7 +214,6 @@ class TestInverseMap:
             value_fn=lambda i, x: (x - 1.0) ** 2, derivative_fn=lambda i, x: 2.0 * (x - 1.0),
         )
         assert spec.inverse_map(np.arange(3)) is None
-        assert spec.inverse_derivative_at(np.arange(3), np.zeros(3)) is None
         calls = []
         bisect = rap._bisect_inverse
         monkeypatch.setattr(

@@ -24,9 +24,9 @@ from nested_alloc.oracles import rap_integer_greedy
 from nested_alloc.rap import (
     _bracket_segments,
     _check_deadline,
-    _clamped_inverse,
     _concat_ranges,
     _fast_paths,
+    _inverse_map,
     _segment_fill,
     _waterfill,
     solve_segments_continuous,
@@ -34,6 +34,12 @@ from nested_alloc.rap import (
 )
 
 from conftest import OBJECTIVE_FAMILIES, one_segment, random_objective
+
+
+def _clamped_inverse(obj, idx, lam_e, lo, hi):
+    """x(lam) per element through the kernel's map, clamped to [lo, hi]."""
+    x = _inverse_map(obj, idx, lo, hi)(lam_e)
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def quad(n):
