@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -52,6 +53,8 @@ def _scaled_integer_instance(inst: NestedInstance, scale: float) -> NestedInstan
     restriction of the original feasible region (it can become infeasible
     when the grid is too coarse).
     """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError("scale", f"need a finite scale > 0, got {scale}")
     lower = np.ceil(inst.lower * scale)
     upper = np.floor(inst.upper * scale)
     if np.any(upper < lower):
@@ -164,6 +167,8 @@ class BenchConfig:
             raise ValidationError("n_list", "families and n_list must be nonempty")
         if self.mode == "cont" and self.epsilon <= 0:
             raise ValidationError("epsilon", "continuous mode needs epsilon > 0")
+        if self.time_limit_s is not None and not self.time_limit_s > 0:
+            raise ValidationError("time_limit_s", f"need time_limit_s > 0, got {self.time_limit_s}")
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "BenchConfig":

@@ -198,15 +198,20 @@ class ObjectiveSpec:
         """Costs f_{idx[k]}(x) with the family's constants gathered once.
 
         The returned `val(x, k=None)` evaluates the elements at positions k of
-        `idx` (all of them when k is None). `value_at` is its one-off case, so
-        both give the same values bit for bit. CUSTOM objectives call
-        `value_fn` per element.
+        `idx` (all of them when k is None); x broadcasts against them, so rows
+        of x price several points of each element. `value_at` is its one-off
+        case, so both give the same values bit for bit. CUSTOM objectives call
+        `value_fn` per point.
         """
         fam = self.family
         if fam is Family.CUSTOM:
-            return lambda x, k=None: np.array(
-                [self.value_fn(int(i), float(v)) for i, v in zip(_pick(idx, k), x)]
-            )
+
+            def custom(x, k=None):
+                i, x = np.broadcast_arrays(_pick(idx, k), x)
+                vals = [self.value_fn(int(j), float(v)) for j, v in zip(i.flat, x.flat)]
+                return np.array(vals).reshape(x.shape)
+
+            return custom
         if fam is Family.F:
             p = self.params["p"][idx]
             expr = lambda x, k: 0.25 * x**4 + _pick(p, k) * x
@@ -423,11 +428,12 @@ class SolveStats:
     `kernel_steps` sums the multiplier steps of every RAP kernel call.
     `kernel_evals` counts per-element objective evaluations inside the
     kernels: x(lam) evaluations plus the bracket's derivatives in continuous
-    mode, unit marginals plus the probe's continuous points in integer mode.
-    A continuous call evaluates x at its bracket ends only for segments whose
-    bracket passes through an interior point (a pole or an unbounded box at
-    an end) and for segments that end stuck without a hit; elsewhere x there
-    is the box end itself.
+    mode, unit marginals plus the probe's continuous points in integer mode
+    (a marginal costs two values; the probe prices two adjacent units from
+    three). A continuous call evaluates x at its bracket ends only for
+    segments whose bracket passes through an interior point (a pole or an
+    unbounded box at an end) and for segments that end stuck without a hit;
+    elsewhere x there is the box end itself.
     """
 
     rap_calls: int = 0

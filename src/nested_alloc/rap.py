@@ -60,27 +60,33 @@ A segment whose residual cannot be placed in its gaps has flat marginals,
 and its budget is spread uniformly. A search that still has open segments
 after `max_iter` steps raises instead of returning an unconverged point.
 
-The integer kernel runs the same search over unit marginal costs
-f_i(t) - f_i(t-1). It keeps the unit allocations at both bracket ends, so
-each step searches only between them, and stops once they differ by at most
-one unit per element (or the bracket ends are adjacent doubles). At a
+The integer kernel searches over unit marginal costs f_i(t) - f_i(t-1) with
+the same step rule (`_propose`, `_illinois`): the regula falsi point of the
+unit excess sum(x) - R, in h for crashing and fuelopt, Illinois halving, and
+a bisection budget (16x the initial bracket there, run from the start). At a
 multiplier lam an element takes the largest unit t whose marginal is <= lam.
-By convexity t lies within one unit of the continuous point
-x_c = (f')^-1(lam) (Hochbaum's proximity), so a step probes g = round(x_c),
-taken from the inverse map at the open elements, and checks two marginals:
-unit g qualifies and unit g + 1 does not. The checks price units with the
-costs of `ObjectiveSpec.value_map`, the arithmetic of the greedy oracle, so a
-probe can only narrow an element's unit range; the few elements it leaves
-open, and all elements of CUSTOM objectives, which have no map, are halved.
-The few residual units then go out in greedy order, ascending marginal with
-the lowest index first, the order in which the heap greedy oracle
-`oracles.rap_integer_greedy` hands them out one at a time.
+The kernel keeps the unit allocations at both bracket ends, so each step
+searches only between them, and the excess at the ends costs nothing. A
+segment stops at an exact hit (sum(x(lam)) = R, which is the greedy's
+answer), once its ends differ by at most one unit per element, or once they
+are adjacent doubles; once half of the working segments have stopped, they
+are finished and the live ones compacted. By convexity t lies within one
+unit of the continuous point x_c = (f')^-1(lam) (Hochbaum's proximity), so a
+step probes g = round(x_c), taken from the inverse map at the open elements,
+and checks two marginals: unit g qualifies and unit g + 1 does not. The
+checks price units with the costs of `ObjectiveSpec.value_map`, the
+arithmetic of the greedy oracle, so a probe can only narrow an element's
+unit range; the few elements it leaves open, and all elements of CUSTOM
+objectives, which have no map, are halved. The few residual units then go out in greedy order,
+ascending marginal with the lowest index first, the order in which the heap
+greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
 indices of the owning objective. Both kernels gather their open segments into
-compact arrays with `_select_segments`, and the continuous kernel uses it again
-to finish converged segments and to drop them from the working set. Given a
+compact arrays with `_select_segments`, and retire segments the same way:
+they finish the stopped ones through it, then use it again to drop them from
+the working set and build the maps again for the live elements. Given a
 `SolveStats`, a kernel adds its multiplier steps to `kernel_steps` and its
 per-element objective evaluations to `kernel_evals`: x(lam), bracket ends
 evaluated included, and the bracket's derivatives in the continuous kernel,
@@ -246,6 +252,50 @@ def _fast_paths(lo, hi, offsets, targets):
     x[m_hi] = hi[m_hi]
     x[m_single] = np.clip(targets[seg_of[m_single]], lo[m_single], hi[m_single])
     return x, ~closed
+
+
+def _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord):
+    """One interpolation step of both kernels' multiplier search.
+
+    Writes into `lam` the regula falsi point of the excess f_lo < 0 <= f_hi
+    kept at the two bracket ends, taken in the coordinate h of `coord`
+    (`ObjectiveSpec.multiplier_coordinate`) where sum(x) is affine between
+    clamp changes, in lam where `coord` is None. The midpoint already in
+    `lam` stays where that point leaves the open bracket, is not finite, or
+    the bracket is wider than `max_width`, which is halved. Returns where the
+    point was taken.
+
+    Each kernel sets its own budget. The continuous one starts `max_width`
+    at 4x the bracket and, in small calls, starts it again after each
+    breakpoint step and forced midpoint; the integer one starts it at 16x
+    and never restarts it. On the benchmark's seed-0 instances the integer
+    kernel took 106 and 154 dense-int steps (fuelopt, f) at 16x, 201 and 264
+    at 4x, 209 and 269 at 4x with restarts, 247 and 294 bisecting. In the
+    continuous kernel 16x would also take fewer steps (dense-cont 1731 ->
+    1429, batch-small 16938 -> 16847, sparse-cont 170 either way, with or
+    without restarts after forced midpoints) but changes its answers within
+    eps, so it is kept at 4x until a change of its own moves it.
+    """
+    if coord is None:
+        prop = lam_lo - f_lo * (lam_hi - lam_lo) / (f_hi - f_lo)
+    else:
+        h, h_inv = coord
+        h_lo, h_hi = h(lam_lo), h(lam_hi)
+        prop = h_inv(h_lo - f_lo * (h_hi - h_lo) / (f_hi - f_lo))
+    ok = (prop > lam_lo) & (prop < lam_hi) & (lam_hi - lam_lo <= max_width)
+    np.copyto(lam, prop, where=ok)
+    max_width *= 0.5
+    return ok
+
+
+def _illinois(f_lo, f_hi, last_hi, move_hi):
+    """Illinois: when two interpolation steps in a row move the same end, the
+    excess kept at the other end is halved. `last_hi` holds the end the last
+    step moved (1 hi, 0 lo, -1 none); returns this step's."""
+    again = last_hi == move_hi
+    np.multiply(f_lo, 0.5, out=f_lo, where=again)
+    np.multiply(f_hi, 0.5, out=f_hi, where=again)
+    return move_hi.astype(np.int8)
 
 
 def _check_deadline(deadline):
@@ -424,20 +474,7 @@ def solve_segments_continuous(
                 n_scan = np.count_nonzero(scan)
                 scanning, interpolating = n_scan > 0, n_scan < done.size - n_done
             if interpolating:
-                # regula falsi point of the excess at the two ends, taken in
-                # the coordinate h where sum(x) is affine between clamp
-                # changes if the objective has one; the midpoint stays when
-                # that point leaves the open bracket, is not finite, or the
-                # bracket is over budget
-                if coord is None:
-                    prop = lam_lo - f_lo * (lam_hi - lam_lo) / (f_hi - f_lo)
-                else:
-                    h, h_inv = coord
-                    h_lo, h_hi = h(lam_lo), h(lam_hi)
-                    prop = h_inv(h_lo - f_lo * (h_hi - h_lo) / (f_hi - f_lo))
-                ok = (prop > lam_lo) & (prop < lam_hi) & (lam_hi - lam_lo <= max_width)
-                np.copyto(lam, prop, where=ok)
-                max_width *= 0.5
+                ok = _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord)
             if scanning:
                 # the median breakpoint inside the bracket
                 mid = (bp_a + bp_b) // 2
@@ -449,12 +486,7 @@ def solve_segments_continuous(
             np.copyto(lam_hi, lam, where=move_hi)
             np.copyto(lam_lo, lam, where=move_lo)
             if interpolating:
-                # Illinois: when two interpolation steps in a row move the
-                # same end, the excess kept at the other end is halved
-                again = last_hi == move_hi
-                np.multiply(f_lo, 0.5, out=f_lo, where=again)
-                np.multiply(f_hi, 0.5, out=f_hi, where=again)
-                last_hi = move_hi.astype(np.int8)
+                last_hi = _illinois(f_lo, f_hi, last_hi, move_hi)
             np.copyto(f_hi, f, where=move_hi)
             np.copyto(f_lo, f, where=move_lo)
             if scanning:
@@ -497,35 +529,37 @@ def _waterfill(x, hi, offsets, leftover, which):
 
 def _int_alloc(marginal, k, tl, th, lam_k, guess):
     """Largest integer t in [tl, th] whose unit marginal stays <= lam, given
-    that unit tl already qualifies (or is the box floor).
+    that unit tl already qualifies (or is the box floor) and tl < th.
 
-    `marginal(t, k)` prices unit t of the elements at positions k. Where the
-    continuous point x_c = (f')^-1(lam) in `guess` is finite, a probe tries
-    g = clamp(floor(x_c + 0.5), tl, th): unit g must qualify and unit g + 1
-    must not. By convexity the answer lies within a unit of x_c, so both
-    checks nearly always pass and close the element; either way they narrow
-    [tl, th]. A halving then finishes the elements left open, each step
-    evaluating only those.
+    `marginal(t, k, pair)` prices unit t of the elements at positions k, and
+    units t and t + 1 at once when `pair` is set. Where `guess` holds the
+    continuous points x_c = (f')^-1(lam), a probe tries
+    g = clamp(floor(x_c + 0.5), tl, th), or g = tl where x_c is NaN: unit g
+    must qualify and unit g + 1 must not. By convexity the answer lies within
+    a unit of x_c, so both checks nearly always pass and close the element;
+    either way they narrow [tl, th]. A halving then finishes the elements
+    left open (all of them without a guess, for CUSTOM), each step
+    evaluating only those. Its midpoint tl + floor((th - tl + 1) / 2) is
+    exact for units up to 2^53; floor((tl + th + 1) / 2) rounds once
+    tl + th + 1 passes 2^53, and where it rounds to tl the halving stalls.
     """
-    tl = tl.copy()
-    th = th.copy()
-
-    def split(q, t):
-        """Narrow elements q at unit t: tl = t if it qualifies, else th = t - 1."""
-        ok = marginal(t, k[q]) <= lam_k[q]
-        tl[q] = np.where(ok, t, tl[q])
-        th[q] = np.where(ok, th[q], t - 1.0)
-
     if guess is not None:
-        g = np.clip(np.floor(guess + 0.5), tl, th)
-        g[~np.isfinite(guess)] = np.nan  # compares false: no probe
-        q = np.flatnonzero(g > tl)  # unit tl qualifies already
-        split(q, g[q])
-        q = np.flatnonzero(g < th)  # unit g qualifies here
-        split(q, g[q] + 1.0)
-    o = np.flatnonzero(tl < th)
+        # fmax and fmin drop NaN, so any guess gives a unit in [tl, th]
+        g = np.fmin(np.fmax(np.floor(guess + 0.5), tl), th)
+        m_g, m_next = marginal(g, k, True)
+        take_g = (g == tl) | (m_g <= lam_k)  # unit tl qualifies already
+        take_next = take_g & (g < th) & (m_next <= lam_k)
+        tl = np.where(take_g, g + take_next, tl)
+        th = np.where(take_next, th, np.where(take_g, g, g - 1.0))
+    else:
+        tl = tl.copy()
+        th = th.copy()
+    o = (tl < th).nonzero()[0]
     while o.size:
-        split(o, np.floor((tl[o] + th[o] + 1.0) * 0.5))
+        t = tl[o] + np.floor((th[o] - tl[o] + 1.0) * 0.5)
+        ok = marginal(t, k[o]) <= lam_k[o]
+        tl[o] = np.where(ok, t, tl[o])
+        th[o] = np.where(ok, th[o], t - 1.0)
         o = o[tl[o] < th[o]]
     return tl
 
@@ -542,15 +576,30 @@ def solve_segments_integer(
 ) -> np.ndarray:
     """Exact integer optimum per segment, greedy-equivalent tie-breaking.
 
-    Bisects each segment's multiplier bracket [lam_lo, lam_hi] while keeping
-    x_l = x(lam_lo) and x_h = x(lam_hi); x is monotone in lam, so a midpoint
-    only searches [x_l, x_h], with `_int_alloc`: a probe at the rounded
-    continuous point (f')^-1(lam), then halving where the probe leaves an
-    element open. A segment stops once every x_h - x_l <= 1 or its bracket
+    Searches each segment's multiplier bracket [lam_lo, lam_hi] while keeping
+    x_l = x(lam_lo) and x_h = x(lam_hi), where x(lam) takes every unit whose
+    marginal is <= lam. A step proposes a multiplier with the continuous
+    kernel's rule (`_propose`, `_illinois`) from the unit excess
+    sum(x) - target at the two ends, which x_l and x_h already give: regula
+    falsi in h for crashing and fuelopt, in lam otherwise, with the Illinois
+    halving, and the midpoint where the budget runs out (16x the initial
+    bracket, halved every step and never restarted, so no bracket falls five
+    halvings, 32x, behind bisection). x is monotone in lam, so a step only
+    searches [x_l, x_h], with `_int_alloc`: a probe at the rounded continuous
+    point (f')^-1(lam), then halving where the probe leaves an element open.
+
+    A segment stops at an exact hit, sum(x(lam)) == target, with
+    x_l = x_h = x(lam). That is the greedy's answer. By convexity each
+    element's units with marginal <= lam are a prefix of its units, and the
+    heap greedy pops units in ascending marginal order, so those units are
+    the first ones it pops, however its ties break; there are exactly target
+    of them. A segment also stops once every x_h - x_l <= 1 or its bracket
     ends are adjacent doubles. Its residual units all have marginals in
     (lam_lo, lam_hi] and go out in greedy order: ascending next-unit
     marginal, lowest index first. At adjacent doubles those marginals are all
-    equal, so that order is plain index order.
+    equal, so that order is plain index order. Once half of the working
+    segments have stopped, they are finished and the live ones compacted, so
+    a step spans only live segments.
     """
     x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
     if not open_seg.any():
@@ -558,63 +607,98 @@ def solve_segments_integer(
     if stats is None:
         stats = SolveStats()
 
-    out_pos, seg_off, seg_len, (e_idx, e_lo, e_hi) = _select_segments(
+    out_pos, seg_off, seg_len, (e_idx, x_l, x_h) = _select_segments(
         open_seg, offsets, idx, lo, hi
     )
     seg_tgt = targets[open_seg]
     starts = seg_off[:-1]
     val = obj.value_map(e_idx)
     inv = obj.inverse_map(e_idx)
+    coord = obj.multiplier_coordinate()
 
-    def marginal(t, k=None):
-        """Unit marginals f(t) - f(t - 1) of the elements at positions k."""
-        stats.kernel_evals += e_idx.size if k is None else k.size
-        return val(t, k) - val(t - 1.0, k)
+    def marginal(t, k=None, pair=False):
+        """Unit marginals f(t) - f(t - 1) of the elements at positions k; with
+        `pair`, the rows of units t and t + 1, priced from three values."""
+        # rows t - 1, t (and t + 1): each element's x broadcasts down a column
+        v = val(t + np.arange(-1.0, 2.0 if pair else 1.0)[:, None], k)
+        stats.kernel_evals += (len(v) - 1) * t.size
+        m = v[1:] - v[:-1]
+        return m if pair else m[0]
 
-    free = e_hi > e_lo
-    first = marginal(e_lo + 1.0)
-    last = marginal(e_hi)
-    # x(lam_lo) = e_lo and x(lam_hi) = e_hi without evaluating anything
+    def finish(sel):
+        """Hand out the residual units of stopped segments in greedy order."""
+        pos, sub_off, sub_len, (xl, xh) = _select_segments(sel, seg_off, x_l, x_h)
+        gaps = xh - xl
+        cand = np.flatnonzero(gaps > 0)
+        marg = np.full(gaps.shape, np.inf)
+        marg[cand] = marginal(xl[cand] + 1.0, pos[cand])
+        seg_of = np.repeat(np.arange(sub_len.size), sub_len)
+        order = np.lexsort((marg, seg_of))  # stable: equal marginals keep index order
+        resid = seg_tgt[sel] - np.add.reduceat(xl, sub_off[:-1])
+        x = np.empty_like(xl)
+        x[order] = _segment_fill(xl[order], gaps[order], sub_off, resid, sub_len)
+        x_out[out_pos[pos]] = x
+
+    free = x_h > x_l
+    first = marginal(x_l + 1.0)
+    last = marginal(x_h)
+    # x(lam_lo) = x_l and x(lam_hi) = x_h, the box ends, without evaluating
+    # anything
     lam_lo = np.nextafter(np.minimum.reduceat(np.where(free, first, np.inf), starts), -np.inf)
     lam_hi = np.maximum.reduceat(np.where(free, last, -np.inf), starts)
-    x_l = e_lo.copy()
-    x_h = e_hi.copy()
+    f_lo = np.add.reduceat(x_l, starts) - seg_tgt
+    f_hi = np.add.reduceat(x_h, starts) - seg_tgt
+    # The bisection budget, 16x the initial bracket, runs from the start and
+    # never restarts, so no bracket falls five halvings (32x) behind plain
+    # bisection; see `_propose` for why the continuous kernel's budget differs.
+    max_width = 16.0 * (lam_hi - lam_lo)
+    last_hi = np.full(seg_tgt.size, -1, dtype=np.int8)
 
     it = 0
-    while True:
-        lam = 0.5 * (lam_lo + lam_hi)
-        stuck = (lam <= lam_lo) | (lam >= lam_hi)  # adjacent doubles
-        live = ~stuck & (np.maximum.reduceat(x_h - x_l, starts) > 1.0)
-        if not live.any():
-            break
-        work = np.flatnonzero(np.repeat(live, seg_len) & (x_h > x_l))
-        lam_w = np.repeat(lam, seg_len)[work]
-        guess = None
-        if inv is not None:
-            stats.kernel_evals += work.size
-            guess = inv(lam_w, k=work)
-        xm = x_l.copy()
-        xm[work] = _int_alloc(marginal, work, x_l[work], x_h[work], lam_w, guess)
-        ge = np.add.reduceat(xm, starts) >= seg_tgt
-        move_hi = live & ge
-        move_lo = live & ~ge
-        lam_hi = np.where(move_hi, lam, lam_hi)
-        lam_lo = np.where(move_lo, lam, lam_lo)
-        np.copyto(x_h, xm, where=np.repeat(move_hi, seg_len))
-        np.copyto(x_l, xm, where=np.repeat(move_lo, seg_len))
-        it += 1
-        if it % 4 == 0:
-            _check_deadline(deadline)
-    stats.kernel_steps += it
-
-    gaps = x_h - x_l
-    cand = np.flatnonzero(gaps > 0)
-    marg = np.full(gaps.shape, np.inf)
-    marg[cand] = marginal(x_l[cand] + 1.0, cand)
-    seg_of = np.repeat(np.arange(seg_len.size), seg_len)
-    order = np.lexsort((marg, seg_of))  # stable: equal marginals keep index order
-    resid = seg_tgt - np.add.reduceat(x_l, starts)
-    x = np.empty_like(x_l)
-    x[order] = _segment_fill(x_l[order], gaps[order], seg_off, resid, seg_len)
-    x_out[out_pos] = x
-    return x_out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            lam = 0.5 * (lam_lo + lam_hi)
+            gap = x_h - x_l
+            # open: bracket ends not adjacent doubles, some gap over one unit
+            live = (lam > lam_lo) & (lam < lam_hi) & (np.maximum.reduceat(gap, starts) > 1.0)
+            n_live = np.count_nonzero(live)
+            if n_live == 0:
+                finish(np.ones(live.size, dtype=bool))
+                stats.kernel_steps += it
+                return x_out
+            if 2 * n_live <= live.size:
+                # finish the stopped segments and compact the live ones
+                finish(~live)
+                _, seg_off, seg_len, (out_pos, e_idx, x_l, x_h, gap) = _select_segments(
+                    live, seg_off, out_pos, e_idx, x_l, x_h, gap
+                )
+                lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, seg_tgt = (
+                    a[live] for a in (lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, seg_tgt)
+                )
+                starts = seg_off[:-1]
+                live = np.ones(n_live, dtype=bool)
+                val = obj.value_map(e_idx)
+                inv = obj.inverse_map(e_idx)
+            _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord)
+            work = (live.repeat(seg_len) & (gap > 0.0)).nonzero()[0]
+            lam_w = lam.repeat(seg_len)[work]
+            guess = None
+            if inv is not None:
+                stats.kernel_evals += work.size
+                guess = inv(lam_w, k=work)
+            xm = x_l.copy()
+            xm[work] = _int_alloc(marginal, work, x_l[work], x_h[work], lam_w, guess)
+            f = np.add.reduceat(xm, starts) - seg_tgt
+            move_hi = live & (f >= 0.0)
+            move_lo = live ^ move_hi
+            np.copyto(lam_hi, lam, where=move_hi)
+            np.copyto(lam_lo, lam, where=move_lo)
+            last_hi = _illinois(f_lo, f_hi, last_hi, move_hi)
+            np.copyto(f_hi, f, where=move_hi)
+            np.copyto(f_lo, f, where=move_lo)
+            # an exact hit moves both ends to x(lam)
+            np.copyto(x_h, xm, where=move_hi.repeat(seg_len))
+            np.copyto(x_l, xm, where=(live & (f <= 0.0)).repeat(seg_len))
+            it += 1
+            if it % 4 == 0:
+                _check_deadline(deadline)

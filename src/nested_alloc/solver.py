@@ -123,7 +123,10 @@ def solve(
 
     Continuous mode solves each subproblem to eps / levels so that bound
     transfers between levels cannot accumulate more than eps overall.
+    A time limit must be > 0; NaN, zero and negative limits are refused.
     """
+    if time_limit_s is not None and not time_limit_s > 0:
+        raise ValueError(f"need time_limit_s > 0, got {time_limit_s}")
     t0 = time.perf_counter()
     deadline = None if time_limit_s is None else t0 + time_limit_s
     if inst.mode is Mode.CONTINUOUS:

@@ -51,6 +51,15 @@ class TestGen:
         assert inst.mode.value == "integer"
         assert np.all(inst.lower == np.floor(inst.lower))
 
+    @pytest.mark.parametrize("scale", [0, -1.0, "nan", "inf"])
+    def test_scale_must_be_finite_and_positive(self, tmp_path, capsys, scale):
+        """A zero scale would write an all-zero instance and exit 0."""
+        out = tmp_path / "int.json"
+        assert run(["gen", "--family", "fuelopt", "--n", 20, "--m", 20, "--seed", 5,
+                    "--mode", "int", "--scale", scale, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: scale: ")
+        assert not out.exists()
+
 
 class TestSolve:
     def test_quadratic_example(self, quad_instance_file, tmp_path):
@@ -143,6 +152,12 @@ class TestSolve:
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2}')
         assert run(["solve", path]) == 1
+
+    @pytest.mark.parametrize("limit", [0, -1.0, "nan"])
+    def test_time_limit_must_be_positive(self, quad_instance_file, capsys, limit):
+        assert run(["solve", quad_instance_file, "--time-limit-s", limit]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "time_limit_s > 0" in captured.err
 
 
 class TestVerify:
@@ -289,6 +304,13 @@ class TestBench:
                                     "seed": 0, "bogus": True}))
         assert run(["bench", path]) == 1
 
+    def test_nonpositive_time_limit_in_config_rejected(self, tmp_path, capsys):
+        """Such a limit used to make every row `timeout` and exit 0."""
+        cfg, out = self.make_config(tmp_path, trials=1, time_limit_s=0)
+        assert run(["bench", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: time_limit_s: ")
+        assert not out.exists()
+
     def test_timeout_rows(self, tmp_path):
         cfg, out = self.make_config(tmp_path, families=["f"], n_list=[3000],
                                     trials=1, time_limit_s=1e-5)
@@ -304,7 +326,9 @@ class TestBench:
         rows = [r for r in csv.DictReader(out2.open()) if r["seed"]]
         assert [int(r["seed"]) for r in rows] == [99, 100]
 
-    @pytest.mark.parametrize("flag", [["--trials", 0], ["--epsilon", -1.0]])
+    @pytest.mark.parametrize("flag", [["--trials", 0], ["--epsilon", -1.0],
+                                      ["--time-limit-s", 0], ["--time-limit-s", -1.0],
+                                      ["--time-limit-s", "nan"]])
     def test_invalid_flag_override_rejected(self, tmp_path, capsys, flag):
         """Flag values are validated like the config file's own values."""
         cfg, out = self.make_config(tmp_path, trials=1)

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -19,6 +22,7 @@ from nested_alloc import (
 )
 from nested_alloc import rap as rap_module
 from nested_alloc import solver
+from nested_alloc.cli import _scaled_integer_instance
 from nested_alloc.model import POLE_FAMILIES
 from nested_alloc.oracles import rap_integer_greedy
 from nested_alloc.rap import (
@@ -390,6 +394,125 @@ def test_custom_without_probe_matches_greedy():
     for _ in range(4):
         c, d, target = _wide_box(rng, int(rng.integers(2, 25)), 0)
         _assert_matches_greedy(obj, c, d, target)
+
+
+def _segments_match_greedy(monkeypatch, obj, c, d, lengths, targets):
+    """Solves the segments of `lengths` in one integer kernel call, checks
+    each against the greedy bit for bit, and returns the length of each open
+    segment and how many unit gaps it left to the greedy-order finish (0
+    after an exact hit), in the order the kernel finished them."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    lens_seen, gaps_seen = [], []
+
+    def fill(lo, gaps, offs, resid, lens):
+        lens_seen.append(lens)
+        gaps_seen.append(np.add.reduceat(gaps, offs[:-1]))
+        return _segment_fill(lo, gaps, offs, resid, lens)
+
+    monkeypatch.setattr(rap_module, "_segment_fill", fill)
+    idx = np.arange(c.size)
+    x = solve_segments_integer(obj, idx, c, d, offsets, targets)
+    for k in range(len(lengths)):
+        s, e = offsets[k], offsets[k + 1]
+        xg = rap_integer_greedy(obj, idx[s:e], c[s:e], d[s:e], targets[k])
+        assert x[s:e].tolist() == xg.tolist()
+    return np.concatenate(lens_seen), np.concatenate(gaps_seen)
+
+
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_many_segments_match_greedy(monkeypatch, family):
+    """Wide boxes, segments of 2 to 40 elements in one call: the interpolated
+    multiplier search (in h for crashing and fuelopt), the exact-hit stop and
+    the compaction of finished segments give the greedy's allocation bit for
+    bit, and distinct marginals let some segments end at an exact hit."""
+    rng = np.random.Generator(np.random.PCG64(110 + OBJECTIVE_FAMILIES.index(family)))
+    lo_base = 1 if family in POLE_FAMILIES else 0
+    lengths = rng.integers(2, 41, 24)
+    n = int(lengths.sum())
+    obj = random_objective(rng, family, n)
+    assert (obj.multiplier_coordinate() is not None) == (family in POLE_FAMILIES)
+    c = rng.integers(lo_base, lo_base + 50, n).astype(float)
+    d = c + rng.integers(1, 301, n)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    room = np.add.reduceat(d - c, offsets[:-1])
+    # targets strictly inside each segment's range, so every segment is open
+    free = 1.0 + np.floor(rng.uniform(0.0, 1.0, lengths.size) * (room - 2.0))
+    lens, gaps = _segments_match_greedy(
+        monkeypatch, obj, c, d, lengths, np.add.reduceat(c, offsets[:-1]) + free
+    )
+    # each segment is finished once, some of them at an exact hit
+    assert sorted(lens) == sorted(lengths)
+    assert np.any(gaps == 0)
+
+
+def test_tie_heavy_f_grid_segments_match_greedy(monkeypatch):
+    """F on the 1e6 grid of `gen --mode int`: near 5e5 units the term p x
+    sits below the spacing of the doubles around x^4 / 4, so the next-unit
+    marginals of elements at one unit tie exactly (here 2 distinct values
+    among 164 open elements of the largest segment). Segments then cannot
+    hit their targets, and the search ends on the one-unit gaps; the finish
+    still matches the greedy bit for bit, lowest index first among ties."""
+    rng = np.random.Generator(np.random.PCG64(100))
+    lengths = np.array([1, 2, 7, 30, 200])
+    n = int(lengths.sum())
+    obj = ObjectiveSpec(Family.F, {"p": rng.uniform(0.0, 1.0, n)})
+    c = 500000.0 + rng.integers(0, 3, n)
+    d = c + rng.integers(0, 40, n)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    lo_sum = np.add.reduceat(c, offsets[:-1])
+    room = np.add.reduceat(d - c, offsets[:-1])
+    targets = lo_sum + np.maximum(1.0, np.floor(room * np.array([0.5, 0.4, 0.3, 0.6, 0.2])))
+    lens, gaps = _segments_match_greedy(monkeypatch, obj, c, d, lengths, targets)
+    (big,) = gaps[lens == 200]
+    assert big > 1  # the big segment ends on a tie, not at an exact hit
+
+
+_PAST_2_52 = """
+import numpy as np
+from nested_alloc import Family, Mode, NestedInstance, ObjectiveSpec, solve
+from nested_alloc.rap import solve_segments_integer
+
+big = 2.0**52
+w, t = np.ones(2), np.array([big + 100.0, 50.0])
+c, d, target = np.array([big, 0.0]), np.array([big + 300.0, 300.0]), big + 200.0
+want = [big + 125.0, 75.0]
+quad = ObjectiveSpec(Family.QUADRATIC, {"w": w, "t": t})
+custom = ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: w[i] * (x - t[i]) ** 2)
+for obj in (quad, custom):
+    x = solve_segments_integer(obj, np.arange(2), c, d, np.array([0, 2]), np.array([target]))
+    assert x.tolist() == want, x
+    inst = NestedInstance(n=2, m=1, s=np.array([2]), a=np.array([]), B=target,
+                          lower=c, upper=d, objective=obj, mode=Mode.INTEGER)
+    sol, _ = solve(inst, time_limit_s=30.0)
+    assert sol.x.tolist() == want, sol.x
+"""
+
+
+def test_units_past_2_52_do_not_stall():
+    """A box at 2^52: the unit halving's midpoint tl + floor((th - tl + 1) / 2)
+    stays exact where floor((tl + th + 1) / 2) rounds to tl and the loop
+    stops making progress. Both the kernel and `solve` give the greedy's
+    [2^52 + 125, 75], for quadratic and CUSTOM costs. Runs in a child
+    process, so a stall fails on the timeout instead of hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    subprocess.run([sys.executable, "-c", _PAST_2_52], env=env, check=True, timeout=120)
+    big = 2.0**52
+    obj = ObjectiveSpec(Family.QUADRATIC, {"w": np.ones(2), "t": np.array([big + 100.0, 50.0])})
+    want = [big + 125.0, 75.0]
+    assert greedy_rap(obj, [big, 0.0], [big + 300.0, 300.0], big + 200.0).tolist() == want
+
+
+@pytest.mark.parametrize("family, parent_steps", [("fuelopt", 247), ("f", 294)])
+def test_integer_counters_on_dense_grid(family, parent_steps):
+    """The benchmark's dense-int instances of seed 0 (n = m = 3000 on the 1e6
+    grid): at most 25 unit marginals and probed points per element per level,
+    and no more multiplier steps than the float bisection the search replaced
+    took (247 fuelopt, 294 f)."""
+    inst = _scaled_integer_instance(generate_instance(family, 3000, 3000, 0), 1e6)
+    sol, stats = solve(inst)
+    assert sol.status is Status.OPTIMAL
+    assert stats.kernel_evals / (inst.n * stats.recursion_levels) <= 25.0
+    assert 0 < stats.kernel_steps <= parent_steps
 
 
 # -- continuous kernel against the bisection it replaced -------------------

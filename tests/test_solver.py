@@ -220,6 +220,14 @@ class TestSolve:
         with pytest.raises(SolveTimeout):
             solve(inst, eps=1e-10, time_limit_s=1e-4)
 
+    @pytest.mark.parametrize("limit", [0.0, -1.0, float("nan")])
+    def test_time_limit_must_be_positive(self, limit):
+        """A NaN deadline never fires and one at or before the start fires at
+        once; both are refused."""
+        inst = generate_instance("fuelopt", 20, 20, 0)
+        with pytest.raises(ValueError, match="time_limit_s > 0"):
+            solve(inst, eps=1e-8, time_limit_s=limit)
+
     def test_infeasible_stats(self):
         inst = NestedInstance(
             n=2, m=1, s=[2], a=[], B=3.0, lower=np.zeros(2), upper=[1.0, 1.0],
@@ -275,8 +283,9 @@ def test_kernel_output_outside_box_raises(monkeypatch):
 class _EvalCounter(ObjectiveSpec):
     """Counts per-element evaluations while `on`: x(lam) elements of the
     maps `inverse_map` hands out, value elements of the maps `value_map`
-    hands out (a unit marginal takes two), derivative elements, and
-    `value_at` elements."""
+    hands out and the columns of those calls (a call pricing unit marginals
+    of several rows evaluates one more row than it prices), derivative
+    elements, and `value_at` elements."""
 
     def inverse_map(self, idx):
         inv = super().inverse_map(idx)
@@ -295,6 +304,7 @@ class _EvalCounter(ObjectiveSpec):
         def counted(x, k=None):
             if self.on[0]:
                 self.counts["value"] += np.size(x)
+                self.counts["value_cols"] += np.shape(x)[-1]
             return val(x, k)
 
         return counted
@@ -317,9 +327,10 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
     that evaluates the bracket ends of a continuous call holding a bracket
     through an interior point, or one map call per step (integer).
     Evaluations: map plus derivative elements (continuous), or map elements
-    plus value-map elements over two (integer). In "cont-pole" every other
-    lower bound sits at the pole, so brackets pass through an interior
-    point."""
+    plus unit marginals (integer), where a value-map call of r rows prices
+    r - 1 marginals per column, so its values are the marginals plus its
+    columns. In "cont-pole" every other lower bound sits at the pole, so
+    brackets pass through an interior point."""
     inst = generate_instance("crashing", 300, 300, 4)
     if mode == "int":
         inst = _scaled_integer_instance(inst, 1e6)
@@ -327,7 +338,7 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
         inst = dataclasses.replace(inst, lower=np.where(np.arange(inst.n) % 2, inst.lower, 0.0))
     counter = _EvalCounter(inst.objective.family, inst.objective.params)
     object.__setattr__(counter, "on", [False])
-    kinds = ("inverse_calls", "inverse", "derivative", "value", "value_at")
+    kinds = ("inverse_calls", "inverse", "derivative", "value", "value_cols", "value_at")
     object.__setattr__(counter, "counts", dict.fromkeys(kinds, 0))
     inst = dataclasses.replace(inst, objective=counter)
     open_calls = [0]
@@ -366,7 +377,8 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
     else:
         assert counts["derivative"] == 0
         assert stats.kernel_steps == counts["inverse_calls"] > 0
-        assert stats.kernel_evals * 2 == 2 * counts["inverse"] + counts["value"]
+        marginals = stats.kernel_evals - counts["inverse"]
+        assert counts["value"] == marginals + counts["value_cols"]
         assert counts["value"] > counts["inverse"] > 0
 
 
