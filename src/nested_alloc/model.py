@@ -72,6 +72,13 @@ _PARAM_KEYS = {
 # Families whose formulas have a pole at x = 0.
 POLE_FAMILIES = (Family.CRASHING, Family.FUELOPT)
 
+# Their x(lam) = g h(lam): h = (-lam)^(-1/2) for crashing and (-lam)^(-1/4)
+# for fuelopt, +inf for lam >= 0 and 0 at lam = -inf.
+_POLE_H = {
+    Family.CRASHING: lambda lam: 1.0 / np.sqrt(np.maximum(-lam, 0.0)),
+    Family.FUELOPT: lambda lam: 1.0 / np.sqrt(np.sqrt(np.maximum(-lam, 0.0))),
+}
+
 
 def _at(v: np.ndarray, seg_len: np.ndarray | None) -> np.ndarray:
     """Per-segment values spread to elements (per-element values as given)."""
@@ -164,12 +171,12 @@ class ObjectiveSpec:
         fam = self.family
         with np.errstate(divide="ignore", invalid="ignore"):
             if fam is Family.F:
-                return x**3 + self.params["p"][idx]
+                return x * x * x + self.params["p"][idx]
             if fam is Family.CRASHING:
                 return -self.params["p"][idx] / x**2
             if fam is Family.FUELOPT:
                 p, c = self.params["p"][idx], self.params["c"][idx]
-                return -3.0 * p * c**4 / x**4
+                return -3.0 * p * np.square(np.square(c)) / np.square(np.square(x))
             if fam is Family.QUADRATIC:
                 w, t = self.params["w"][idx], self.params["t"][idx]
                 return 2.0 * w * (x - t)
@@ -184,10 +191,10 @@ class ObjectiveSpec:
             if fam is Family.F:
                 return 3.0 * x**2
             if fam is Family.CRASHING:
-                return 2.0 * self.params["p"][idx] / x**3
+                return 2.0 * self.params["p"][idx] / (x * x * x)
             if fam is Family.FUELOPT:
                 p, c = self.params["p"][idx], self.params["c"][idx]
-                return 12.0 * p * c**4 / x**5
+                return 12.0 * p * np.square(np.square(c)) / (np.square(np.square(x)) * x)
             if fam is Family.QUADRATIC:
                 return 2.0 * self.params["w"][idx] * np.ones_like(x)
         raise ValueError("no closed-form curvature for custom objectives")
@@ -240,7 +247,8 @@ class ObjectiveSpec:
         and evaluates each element at its segment's multiplier (element k at
         lam[k] when seg_len is None). Work that depends on lam alone runs on
         the per-segment array, which leaves a run-length spread and one or two
-        arithmetic operations per element. Given positions `k` (and no
+        arithmetic operations per element: the pole families' x = g h(lam) is
+        one multiply by g, gathered here. Given positions `k` (and no
         seg_len), it evaluates only the elements at positions k of `idx`,
         element k[j] at lam[j]. The pole families give +inf for lam >= 0 and 0
         at lam = -inf. None for CUSTOM, which has no closed form; the
@@ -259,20 +267,15 @@ class ObjectiveSpec:
                 _pick(t, k) + _at(lam, seg_len) / _pick(two_w, k)
             )
         if fam is Family.CRASHING:
-            p = self.params["p"][idx]
+            g = np.sqrt(self.params["p"][idx])
+        else:
+            p, c = self.params["p"][idx], self.params["c"][idx]
+            g = (3.0 * p * c**4) ** 0.25
+        h = _POLE_H[fam]
 
-            def inv(lam, seg_len=None, k=None):  # x = sqrt(p / -lam)
-                with np.errstate(divide="ignore"):
-                    x = _pick(p, k) / _at(np.maximum(-lam, 0.0), seg_len)
-                return np.sqrt(x, out=x)
-
-            return inv
-        p, c = self.params["p"][idx], self.params["c"][idx]
-        g = (3.0 * p * c**4) ** 0.25
-
-        def inv(lam, seg_len=None, k=None):  # x = (3 p c^4 / -lam)^(1/4)
+        def inv(lam, seg_len=None, k=None):  # x = g h(lam)
             with np.errstate(divide="ignore"):
-                return _pick(g, k) / _at(np.sqrt(np.sqrt(np.maximum(-lam, 0.0))), seg_len)
+                return _pick(g, k) * _at(h(lam), seg_len)
 
         return inv
 
@@ -285,12 +288,12 @@ class ObjectiveSpec:
         Crashing has h = (-lam)^(-1/2) and fuelopt h = (-lam)^(-1/4), so
         between clamp changes sum(x) is affine in h and one regula falsi step
         in h lands on the root. Quadratic x is affine in lam itself; F and
-        CUSTOM have no such coordinate. lam >= 0 maps to h = inf or NaN.
+        CUSTOM have no such coordinate. lam >= 0 maps to h = inf.
         """
         if self.family is Family.CRASHING:
-            return lambda lam: 1.0 / np.sqrt(-lam), lambda h: -1.0 / (h * h)
+            return _POLE_H[Family.CRASHING], lambda h: -1.0 / (h * h)
         if self.family is Family.FUELOPT:
-            return lambda lam: 1.0 / np.sqrt(np.sqrt(-lam)), lambda h: -1.0 / (h * h) ** 2
+            return _POLE_H[Family.FUELOPT], lambda h: -1.0 / (h * h) ** 2
         return None
 
 
@@ -427,9 +430,10 @@ class SolveStats:
 
     `kernel_steps` sums the multiplier steps of every RAP kernel call.
     `kernel_evals` counts per-element objective evaluations inside the
-    kernels: x(lam) evaluations plus the bracket's derivatives in continuous
-    mode, unit marginals plus the probe's continuous points in integer mode
-    (a marginal costs two values; the probe prices two adjacent units from
+    kernels, of the movable elements (upper > lower) of open segments only:
+    x(lam) evaluations plus the bracket's derivatives in continuous mode,
+    unit marginals plus the probe's continuous points in integer mode (a
+    marginal costs two values; the probe prices two adjacent units from
     three). A continuous call evaluates x at its bracket ends only for
     segments whose bracket passes through an interior point (a pole or an
     unbounded box at an end) and for segments that end stuck without a hit;

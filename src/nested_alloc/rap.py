@@ -1,15 +1,23 @@
 """Kernels for the box-constrained single-equality subproblem (RAP).
 
 A RAP asks for min sum(f_i(x_i)) subject to sum(x_i) = R and c <= x <= d on a
-contiguous slice of variables. The continuous kernel searches the multiplier
-of the coupling constraint: x_i(lam) = clamp(inv(f'_i)(lam), c_i, d_i) is
-nondecreasing in lam, so the bracket [lam_lo, lam_hi] with
-sum(x(lam_lo)) <= R <= sum(x(lam_hi)) narrows until the segment ends. The
-bracket runs from the least derivative at the floor, lam_lo = min f'(c), to
-the largest at the top, lam_hi = max f'(d), where x is exactly c and d, so
-the excess sum(x) - R at the ends costs no evaluation. Only a segment whose
-end is not finite (a pole at 0, an unbounded box) passes its bracket through
-an interior point instead and has x evaluated at both ends.
+contiguous slice of variables. Both kernels first set, bit-exact at their
+bounds, the segments that need no search (`_working_set`: a target at or past
+a box-sum end, or at most one movable element d_i > c_i) and every point box
+c_i = d_i, which the decomposition makes common: a left-half child at its
+lower bound, or a right-half child at its upper bound, is fixed for the whole
+level. From then on only the movable elements of the open segments, with each
+target less its point-box mass, are searched, finished and counted.
+
+The continuous kernel searches the multiplier of the coupling constraint:
+x_i(lam) = clamp(inv(f'_i)(lam), c_i, d_i) is nondecreasing in lam, so the
+bracket [lam_lo, lam_hi] with sum(x(lam_lo)) <= R <= sum(x(lam_hi)) narrows
+until the segment ends. The bracket runs from the least derivative at the
+floor, lam_lo = min f'(c), to the largest at the top, lam_hi = max f'(d),
+where x is exactly c and d, so the excess sum(x) - R at the ends costs no
+evaluation. Only a segment whose end is not finite (a pole at 0, an unbounded
+box) passes its bracket through an interior point instead and has x
+evaluated at both ends.
 
 Each step evaluates x at one multiplier per segment and keeps only
 per-segment state, in one loop for every call:
@@ -54,7 +62,8 @@ once, at the end.
 Every step evaluates x(lam) through one map per call (`_inverse_map`), built
 again after each compaction: the objective's `ObjectiveSpec.inverse_map`,
 which gathers per-variable constants once and runs the work that depends on
-lam alone per segment, or for CUSTOM objectives, which have no closed form,
+lam alone per segment (crashing and fuelopt then cost one multiply per
+element, x = g h(lam)), or for CUSTOM objectives, which have no closed form,
 a map of the same signature that inverts f' by bisection inside the boxes.
 A segment whose residual cannot be placed in its gaps has flat marginals,
 and its budget is spread uniformly. A search that still has open segments
@@ -83,11 +92,11 @@ greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
-indices of the owning objective. Both kernels gather their open segments into
-compact arrays with `_select_segments`, and retire segments the same way:
-they finish the stopped ones through it, then use it again to drop them from
-the working set and build the maps again for the live elements. Given a
-`SolveStats`, a kernel adds its multiplier steps to `kernel_steps` and its
+indices of the owning objective. Both kernels gather their working set with
+`_working_set` and retire segments alike: they finish the stopped ones
+through `_select_segments`, then use it to drop them from the working set and
+build the maps again for the live elements. Given a `SolveStats`, a kernel
+adds its multiplier steps to `kernel_steps` and its working set's
 per-element objective evaluations to `kernel_evals`: x(lam), bracket ends
 evaluated included, and the bracket's derivatives in the continuous kernel,
 unit marginals and probed continuous points in the integer kernel.
@@ -209,16 +218,16 @@ def _bracket_segments(obj, idx, lo, hi, offsets, targets, stats=None):
     return lam_lo, lam_hi, bad, d_lo, d_hi
 
 
-def _interior_breakpoints(d_lo, d_hi, free, lam_lo, lam_hi, seg_len):
-    """The distinct breakpoints f'_i(c_i) and f'_i(d_i) of free elements that
-    lie strictly inside their segment's bracket, sorted by segment and value,
-    and each segment's index range [a, b) into them."""
+def _interior_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len):
+    """The distinct breakpoints f'_i(c_i) and f'_i(d_i) that lie strictly
+    inside their segment's bracket, sorted by segment and value, and each
+    segment's index range [a, b) into them."""
     ids = np.arange(seg_len.size)
     lo_e = np.repeat(lam_lo, seg_len)
     hi_e = np.repeat(lam_hi, seg_len)
     # infinite and NaN values fail the strict comparisons
-    in_lo = free & (d_lo > lo_e) & (d_lo < hi_e)
-    in_hi = free & (d_hi > lo_e) & (d_hi < hi_e)
+    in_lo = (d_lo > lo_e) & (d_lo < hi_e)
+    in_hi = (d_hi > lo_e) & (d_hi < hi_e)
     seg_e = np.repeat(ids, seg_len)
     vals = np.concatenate([d_lo[in_lo], d_hi[in_hi]])
     seg = np.concatenate([seg_e[in_lo], seg_e[in_hi]])
@@ -230,28 +239,35 @@ def _interior_breakpoints(d_lo, d_hi, free, lam_lo, lam_hi, seg_len):
     return vals, np.searchsorted(seg, ids), np.searchsorted(seg, ids, side="right")
 
 
-def _fast_paths(lo, hi, offsets, targets):
-    """Classify segments solvable without multiplier search.
+def _working_set(idx, lo, hi, offsets, targets):
+    """Close what needs no multiplier search and gather what moves.
 
-    Returns (x, open_mask): x filled for closed segments, NaN elsewhere.
+    Returns x_out, holding its final value at every element of a closed
+    segment (target at or past a box-sum end, or at most one movable element
+    hi > lo) and at every point box (lo == hi), bit-exact at its bound, and
+    the working set: the movable elements of the open segments, in index
+    order, as their positions in x_out, the compact layout's offsets and
+    segment lengths, their idx, lo and hi, and each open segment's target
+    less its point-box mass.
     """
     starts = offsets[:-1]
     lengths = np.diff(offsets)
-    sum_lo = np.add.reduceat(lo, starts)
-    sum_hi = np.add.reduceat(hi, starts)
-    x = np.full(lo.shape, np.nan)
-    seg_of = np.repeat(np.arange(len(targets)), lengths)
-    at_lo = targets <= sum_lo
-    at_hi = targets >= sum_hi
-    single = lengths == 1
-    closed = at_lo | at_hi | single
-    m_lo = at_lo[seg_of]
-    m_hi = (~at_lo & at_hi)[seg_of]
-    m_single = (~at_lo & ~at_hi & single)[seg_of]
-    x[m_lo] = lo[m_lo]
-    x[m_hi] = hi[m_hi]
-    x[m_single] = np.clip(targets[seg_of[m_single]], lo[m_single], hi[m_single])
-    return x, ~closed
+    movable = hi > lo
+    n_mov = np.add.reduceat(movable, starts)
+    at_lo = targets <= np.add.reduceat(lo, starts)
+    at_hi = ~at_lo & (targets >= np.add.reduceat(hi, starts))
+    x_out = np.where(np.repeat(at_hi, lengths), hi, lo)
+    tgt = targets - np.add.reduceat(np.where(movable, 0.0, lo), starts)
+    open_seg = ~(at_lo | at_hi)
+    one = open_seg & (n_mov == 1)
+    if one.any():
+        k = np.flatnonzero(movable & np.repeat(one, lengths))
+        x_out[k] = np.clip(tgt[one], lo[k], hi[k])
+        open_seg &= ~one
+    out_pos = np.flatnonzero(movable & np.repeat(open_seg, lengths))
+    seg_len = n_mov[open_seg]
+    seg_off = np.concatenate([[0], np.cumsum(seg_len)])
+    return x_out, out_pos, seg_off, seg_len, idx[out_pos], lo[out_pos], hi[out_pos], tgt[open_seg]
 
 
 def _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord):
@@ -328,16 +344,13 @@ def solve_segments_continuous(
 
     Raises RuntimeError if segments are still open after max_iter steps.
     """
-    x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
-    if not open_seg.any():
+    x_out, out_pos, seg_off, seg_len, e_idx, e_lo, e_hi, seg_tgt = _working_set(
+        idx, lo, hi, offsets, targets
+    )
+    if not seg_len.size:
         return x_out
     if stats is None:
         stats = SolveStats()
-
-    out_pos, seg_off, seg_len, (e_idx, e_lo, e_hi) = _select_segments(
-        open_seg, offsets, idx, lo, hi
-    )
-    seg_tgt = targets[open_seg]
     small = e_idx.size < _BREAKPOINT_PHASE_ELEMENTS
     inv = _inverse_map(obj, e_idx, e_lo, e_hi)
     coord = obj.multiplier_coordinate() if small else None
@@ -365,7 +378,7 @@ def solve_segments_continuous(
         obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats
     )
     if small:
-        bp, bp_a, bp_b = _interior_breakpoints(d_lo, d_hi, e_hi > e_lo, lam_lo, lam_hi, seg_len)
+        bp, bp_a, bp_b = _interior_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len)
     del d_lo, d_hi  # the loop keeps no per-element state but x_fin
     # x(lam_lo) = e_lo and x(lam_hi) = e_hi where the ends are the extreme
     # derivatives at the box ends; only a bracket through an interior point
@@ -601,16 +614,13 @@ def solve_segments_integer(
     segments have stopped, they are finished and the live ones compacted, so
     a step spans only live segments.
     """
-    x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
-    if not open_seg.any():
+    x_out, out_pos, seg_off, seg_len, e_idx, x_l, x_h, seg_tgt = _working_set(
+        idx, lo, hi, offsets, targets
+    )
+    if not seg_len.size:
         return x_out
     if stats is None:
         stats = SolveStats()
-
-    out_pos, seg_off, seg_len, (e_idx, x_l, x_h) = _select_segments(
-        open_seg, offsets, idx, lo, hi
-    )
-    seg_tgt = targets[open_seg]
     starts = seg_off[:-1]
     val = obj.value_map(e_idx)
     inv = obj.inverse_map(e_idx)
@@ -639,13 +649,10 @@ def solve_segments_integer(
         x[order] = _segment_fill(xl[order], gaps[order], sub_off, resid, sub_len)
         x_out[out_pos[pos]] = x
 
-    free = x_h > x_l
-    first = marginal(x_l + 1.0)
-    last = marginal(x_h)
     # x(lam_lo) = x_l and x(lam_hi) = x_h, the box ends, without evaluating
     # anything
-    lam_lo = np.nextafter(np.minimum.reduceat(np.where(free, first, np.inf), starts), -np.inf)
-    lam_hi = np.maximum.reduceat(np.where(free, last, -np.inf), starts)
+    lam_lo = np.nextafter(np.minimum.reduceat(marginal(x_l + 1.0), starts), -np.inf)
+    lam_hi = np.maximum.reduceat(marginal(x_h), starts)
     f_lo = np.add.reduceat(x_l, starts) - seg_tgt
     f_hi = np.add.reduceat(x_h, starts) - seg_tgt
     # The bisection budget, 16x the initial bracket, runs from the start and

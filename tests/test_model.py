@@ -208,6 +208,25 @@ class TestInverseMap:
         assert np.array_equal(spec.inverse_map(idx)(lam, np.ones(5, dtype=np.int64)), expected)
         assert np.array_equal(spec.inverse_map(idx)(lam), expected)
 
+    def test_pole_maps_multiply_past_the_overflow(self):
+        """At the smallest subnormal multiplier, lam = -2^-1074, p / -lam
+        overflows, so a crashing map that divides before its root returns
+        +inf. x = g h(lam) takes the root of -lam first and stays finite:
+        crashing with p = 1 gives sqrt(1 / -lam) = 2^537, fuelopt with
+        p = c = 1 gives (3 / -lam)^(1/4) = 3^(1/4) 2^268.5, each within 4
+        ulp."""
+        lam = np.array([-5e-324])
+        assert lam[0] == -(2.0**-1074)
+        crashing = ObjectiveSpec(Family.CRASHING, {"k": [0.0], "p": [1.0]})
+        fuelopt = ObjectiveSpec(Family.FUELOPT, {"p": [1.0], "c": [1.0]})
+        for spec, ref in (
+            (crashing, 2.0**537),
+            (fuelopt, 3.0**0.25 * 2.0**268 * math.sqrt(2.0)),
+        ):
+            x = spec.inverse_map(np.arange(1))(lam)
+            assert np.isfinite(x).all()
+            assert abs(x[0] - ref) <= 4 * np.spacing(ref)
+
     def test_custom_has_no_map_and_still_solves(self, monkeypatch):
         spec = ObjectiveSpec(
             Family.CUSTOM, {},

@@ -29,10 +29,10 @@ from nested_alloc.rap import (
     _bracket_segments,
     _check_deadline,
     _concat_ranges,
-    _fast_paths,
     _inverse_map,
     _segment_fill,
     _waterfill,
+    _working_set,
     solve_segments_continuous,
     solve_segments_integer,
 )
@@ -398,9 +398,10 @@ def test_custom_without_probe_matches_greedy():
 
 def _segments_match_greedy(monkeypatch, obj, c, d, lengths, targets):
     """Solves the segments of `lengths` in one integer kernel call, checks
-    each against the greedy bit for bit, and returns the length of each open
-    segment and how many unit gaps it left to the greedy-order finish (0
-    after an exact hit), in the order the kernel finished them."""
+    each against the greedy bit for bit, and returns the number of movable
+    elements (d > c) of each open segment and how many unit gaps it left to
+    the greedy-order finish (0 after an exact hit), in the order the kernel
+    finished them."""
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     lens_seen, gaps_seen = [], []
 
@@ -463,7 +464,7 @@ def test_tie_heavy_f_grid_segments_match_greedy(monkeypatch):
     room = np.add.reduceat(d - c, offsets[:-1])
     targets = lo_sum + np.maximum(1.0, np.floor(room * np.array([0.5, 0.4, 0.3, 0.6, 0.2])))
     lens, gaps = _segments_match_greedy(monkeypatch, obj, c, d, lengths, targets)
-    (big,) = gaps[lens == 200]
+    (big,) = gaps[lens == np.count_nonzero(d[-200:] > c[-200:])]
     assert big > 1  # the big segment ends on a tie, not at an exact hit
 
 
@@ -518,10 +519,37 @@ def test_integer_counters_on_dense_grid(family, parent_steps):
 # -- continuous kernel against the bisection it replaced -------------------
 
 
+def _fast_paths(lo, hi, offsets, targets):
+    """The bisection reference's fast paths: classify segments solvable
+    without multiplier search.
+
+    Returns (x, open_mask): x filled for closed segments, NaN elsewhere.
+    """
+    starts = offsets[:-1]
+    lengths = np.diff(offsets)
+    sum_lo = np.add.reduceat(lo, starts)
+    sum_hi = np.add.reduceat(hi, starts)
+    x = np.full(lo.shape, np.nan)
+    seg_of = np.repeat(np.arange(len(targets)), lengths)
+    at_lo = targets <= sum_lo
+    at_hi = targets >= sum_hi
+    single = lengths == 1
+    closed = at_lo | at_hi | single
+    m_lo = at_lo[seg_of]
+    m_hi = (~at_lo & at_hi)[seg_of]
+    m_single = (~at_lo & ~at_hi & single)[seg_of]
+    x[m_lo] = lo[m_lo]
+    x[m_hi] = hi[m_hi]
+    x[m_single] = np.clip(targets[seg_of[m_single]], lo[m_single], hi[m_single])
+    return x, ~closed
+
+
 def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, max_iter=2400):
     """`solve_segments_continuous` as it was before it interpolated: plain
     bisection of every segment's multiplier bracket, kept verbatim as the
-    reference for the Illinois search."""
+    reference for the Illinois search. Its fast paths (`_fast_paths`) close
+    only segments with a target at or past a box-sum end and single
+    elements, so point boxes stay in its working set."""
     x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
     if not open_seg.any():
         return x_out
@@ -1057,7 +1085,7 @@ def test_steps_within_four_of_bisection(monkeypatch, family, n, seed):
         ref = list(counter.calls)
         counter.calls[:] = [0, 0]
         x = solve_segments_continuous(obj, idx, lo, hi, offsets, targets, eps_x, deadline, stats)
-        if _fast_paths(lo, hi, offsets, targets)[1].any():
+        if _working_set(idx, lo, hi, offsets, targets)[3].size:
             rows.append((ref, list(counter.calls)))
         return x
 
@@ -1070,3 +1098,105 @@ def test_steps_within_four_of_bisection(monkeypatch, family, n, seed):
     if n == 20000:
         assert rows, "the crashing draw must be feasible"
         assert sum(new[1] for _, new in rows) < sum(ref[1] for ref, _ in rows)
+
+
+# -- the working set: point boxes and closed segments leave before the search
+
+
+def _point_box_layout(rng, family, large, integer=False):
+    """Segments that mix point boxes (c = d) with movable elements: one left
+    with a single movable element, one whose movable element beside point
+    boxes has an infinite upper bound (continuous only), one whose point
+    boxes and movable floors already carry its whole target, and ordinary
+    segments holding about a third point boxes, some of them at 0 (at the
+    pole of crashing and fuelopt in continuous mode). Bounds are multiples
+    of 1/16, so every sum over them is exact in any order. Returns c, d,
+    segment lengths and targets."""
+    lengths = np.array([6, 5, 7, 40, 3, 150] + [2500] * large)
+    n = int(lengths.sum())
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    base = 1 if integer and family in POLE_FAMILIES else 0
+    c = base + rng.integers(0, 64, n) / (1.0 if integer else 16.0)
+    d = c + rng.integers(8, 32, n) / (1.0 if integer else 16.0)
+    point = rng.random(n) < 0.35
+    if not integer:
+        point[rng.random(n) < 0.1] = True
+        c[point & (rng.random(n) < 0.3)] = 0.0
+    d[point] = c[point]
+    seg = [np.arange(offsets[k], offsets[k + 1]) for k in range(lengths.size)]
+    d[seg[0][:-1]] = c[seg[0][:-1]]  # one movable element left
+    d[seg[0][-1]] = c[seg[0][-1]] + 4.0
+    d[seg[1]] = c[seg[1]]
+    d[seg[1][[1, 3]]] = c[seg[1][[1, 3]]] + [2.0, np.inf if not integer else 5.0]
+    sum_c = np.add.reduceat(c, offsets[:-1])
+    room = np.add.reduceat(np.minimum(d - c, 8.0), offsets[:-1])
+    share = rng.uniform(0.2, 0.8, lengths.size)
+    targets = sum_c + (np.floor(share * room) if integer else share * room)
+    targets[2] = sum_c[2]  # carried by the point boxes and movable floors
+    return c, d, lengths, targets
+
+
+def _strip_point_boxes(c, d, lengths, targets):
+    """The same problem with its point boxes taken out: each segment keeps its
+    movable elements (their variable indices, bounds and order) and its
+    target less its point-box mass; segments without any are dropped."""
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    movable = d > c
+    n_mov = np.add.reduceat(movable, offsets[:-1])
+    mass = np.add.reduceat(np.where(movable, 0.0, c), offsets[:-1])
+    keep = n_mov > 0
+    idx = np.flatnonzero(movable)
+    sub_off = np.concatenate([[0], np.cumsum(n_mov[keep])])
+    return idx, c[idx], d[idx], sub_off, (targets - mass)[keep]
+
+
+@pytest.mark.parametrize("large", [False, True])
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_point_boxes_leave_the_continuous_search(family, large):
+    """Point boxes come back bit-exact at their bound, a segment left with one
+    movable element takes its target less the point-box mass, and the rest
+    lands within eps_x of the bisection with exact sums. The search does
+    exactly the work, and gives exactly the answer, of a call that never
+    held the point boxes: `kernel_evals` counts movable elements only."""
+    rng = np.random.Generator(np.random.PCG64(120 + OBJECTIVE_FAMILIES.index(family) + 10 * large))
+    c, d, lengths, targets = _point_box_layout(rng, family, large)
+    assert (c.size >= rap_module._BREAKPOINT_PHASE_ELEMENTS) == large
+    obj = random_objective(rng, family, c.size)
+    x = _assert_matches_bisection(obj, c, d, lengths, targets, 1e-9)
+    point = c == d
+    assert np.array_equal(x[point], c[point])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    one = offsets[1] - 1
+    assert x[one] == targets[0] - c[offsets[0] : one].sum() and c[one] < x[one] < d[one]
+    assert np.isinf(d[offsets[1] + 3]) and np.isfinite(x[offsets[1] : offsets[2]]).all()
+    assert np.array_equal(x[offsets[2] : offsets[3]], c[offsets[2] : offsets[3]])
+
+    stats = SolveStats()
+    idx = np.arange(c.size)
+    x_full = solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9, stats=stats)
+    bare = SolveStats()
+    s_idx, s_c, s_d, s_off, s_tgt = _strip_point_boxes(c, d, lengths, targets)
+    x_bare = solve_segments_continuous(obj, s_idx, s_c, s_d, s_off, s_tgt, 1e-9, stats=bare)
+    assert np.array_equal(x_full[s_idx], x_bare)
+    assert stats.kernel_steps == bare.kernel_steps > 0
+    assert stats.kernel_evals == bare.kernel_evals > 0
+
+
+@pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+def test_point_boxes_leave_the_integer_search(monkeypatch, family):
+    """The integer kernel on segments that mix point boxes with movable
+    elements gives the greedy's allocation bit for bit, and the steps and
+    evaluations of a call that never held the point boxes."""
+    rng = np.random.Generator(np.random.PCG64(130 + OBJECTIVE_FAMILIES.index(family)))
+    c, d, lengths, targets = _point_box_layout(rng, family, False, integer=True)
+    obj = random_objective(rng, family, c.size)
+    _segments_match_greedy(monkeypatch, obj, c, d, lengths, targets)
+    monkeypatch.undo()
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    stats, bare = SolveStats(), SolveStats()
+    x_full = solve_segments_integer(obj, np.arange(c.size), c, d, offsets, targets, stats=stats)
+    s_idx, s_c, s_d, s_off, s_tgt = _strip_point_boxes(c, d, lengths, targets)
+    x_bare = solve_segments_integer(obj, s_idx, s_c, s_d, s_off, s_tgt, stats=bare)
+    assert np.array_equal(x_full[s_idx], x_bare)
+    assert stats.kernel_steps == bare.kernel_steps > 0
+    assert stats.kernel_evals == bare.kernel_evals > 0

@@ -346,13 +346,11 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
 
     def counting(kernel):
         def wrapped(obj, idx, lo, hi, offsets, targets, *args):
-            open_seg = rap_module._fast_paths(lo, hi, offsets, targets)[1]
-            open_calls[0] += bool(open_seg.any())
-            if open_seg.any() and kernel is solve_segments_continuous:
-                _, sub_off, _, (i, c, d) = rap_module._select_segments(
-                    open_seg, offsets, idx, lo, hi
-                )
-                bad = rap_module._bracket_segments(obj, i, c, d, sub_off, targets[open_seg])[2]
+            work = rap_module._working_set(idx, lo, hi, offsets, targets)
+            _, _, seg_off, seg_len, e_idx, e_lo, e_hi, seg_tgt = work
+            open_calls[0] += bool(seg_len.size)
+            if seg_len.size and kernel is solve_segments_continuous:
+                bad = rap_module._bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)[2]
                 end_calls[0] += bool(bad.any())
             counter.on[0] = True
             try:
