@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""In-process A/B of the solver: the working tree against a git revision.
+
+Unpacks `git archive REV src/nested_alloc` into a temporary directory and
+imports it next to the working tree's package as `nested_alloc_base` (the
+package's imports are relative, so it runs under any name). The instances
+come from the benchmark's `perfbench/workloads.py`, which this script only
+imports. Solves are interleaved ABBA per instance and repetition, so both
+sides see the same drift of the host's speed.
+
+    python3 scripts/ab.py --base HEAD --workload sparse-cont --seeds 0 1 2 --reps 3
+
+Per instance it prints the median solve time of each side and their ratio
+(change / base), and whether the answers agree: `x` compared with
+`np.array_equal`, `Solution.objective` with `==`, and both kernel counters.
+The summary gives the instances the change won, the median ratio, the
+kernel counters summed per side and two sha256 per side over every `x` of
+every instance: of the bytes as they are, and with -0.0 read as 0.0.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np
+
+import workloads
+from nested_alloc import solver as change_solver
+
+BASE = "nested_alloc_base"
+
+
+def import_base(rev: str, into: Path):
+    """Import `src/nested_alloc` at `rev` as the package `nested_alloc_base`."""
+    blob = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src/nested_alloc"],
+        check=True, capture_output=True,
+    ).stdout
+    tar_path = into / "base.tar"
+    tar_path.write_bytes(blob)
+    with tarfile.open(tar_path) as tar:
+        tar.extractall(into, filter="data")
+    pkg = into / "src" / "nested_alloc"
+    spec = importlib.util.spec_from_file_location(
+        BASE, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[BASE] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{BASE}.solver"), importlib.import_module(f"{BASE}.model")
+
+
+def as_base(inst, model):
+    """The same instance built from the base package's classes, whose enums
+    the base solver compares by identity."""
+    obj = inst.objective
+    return model.NestedInstance(
+        n=inst.n, m=inst.m, s=inst.s, a=inst.a, B=inst.B, lower=inst.lower, upper=inst.upper,
+        objective=model.ObjectiveSpec(obj.family.value, dict(obj.params)),
+        mode=model.Mode(inst.mode.value),
+    )
+
+
+def timed_solve(solve, inst, eps):
+    t = time.perf_counter()
+    sol, stats = solve(inst, eps)
+    return time.perf_counter() - t, sol, stats
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git revision to compare against")
+    p.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--reps", type=int, default=1, help="ABBA repetitions per instance")
+    args = p.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base_solver, base_model = import_base(args.base, Path(tmp))
+        sides = {"base": base_solver.solve, "change": change_solver.solve}
+        digest = {side: hashlib.sha256() for side in sides}
+        unsigned = {side: hashlib.sha256() for side in sides}  # x + 0.0: -0.0 reads 0.0
+        ratios, won, differ, zeros_total = [], 0, 0, 0
+        steps = {side: 0 for side in sides}
+        evals = {side: 0 for side in sides}
+        print(f"{'instance':<28} {'base_s':>9} {'change_s':>9} {'ratio':>7}  same")
+        for seed in args.seeds:
+            for item in workloads.build(args.workload, seed).items:
+                insts = {"base": as_base(item.inst, base_model), "change": item.inst}
+                times = {side: [] for side in sides}
+                last = {}
+                for _ in range(args.reps):
+                    for side in ("base", "change", "change", "base"):
+                        t, *last[side] = timed_solve(sides[side], insts[side], item.eps)
+                        times[side].append(t)
+                (bsol, bstats), (csol, cstats) = last["base"], last["change"]
+                for side, (sol, st) in last.items():
+                    steps[side] += st.kernel_steps
+                    evals[side] += st.kernel_evals
+                    if sol.x is not None:
+                        digest[side].update(np.ascontiguousarray(sol.x).tobytes())
+                        unsigned[side].update((sol.x + 0.0).tobytes())
+                same_x = (bsol.x is None and csol.x is None) or (
+                    bsol.x is not None and csol.x is not None and np.array_equal(bsol.x, csol.x)
+                )
+                same_obj = bsol.objective == csol.objective or (
+                    np.isnan(bsol.objective) and np.isnan(csol.objective)
+                )
+                same_counts = (bstats.kernel_steps, bstats.kernel_evals) == (
+                    cstats.kernel_steps, cstats.kernel_evals
+                )
+                # coordinates equal as numbers but not bit for bit: zeros of
+                # opposite sign, which np.array_equal does not tell apart
+                signed_zeros = 0 if not same_x or bsol.x is None else int(np.count_nonzero(
+                    np.signbit(bsol.x) != np.signbit(csol.x)
+                ))
+                zeros_total += signed_zeros
+                same = same_x and same_obj and same_counts
+                differ += not same
+                tb, tc = statistics.median(times["base"]), statistics.median(times["change"])
+                ratios.append(tc / tb)
+                won += tc < tb
+                label = f"{item.family} n={item.n} m={item.m} s={item.seed}"
+                flags = "yes" if same else f"NO x={same_x} obj={same_obj} counts={same_counts}"
+                if signed_zeros:
+                    flags += f" ({signed_zeros} zeros of opposite sign)"
+                print(f"{label:<28} {tb:9.4f} {tc:9.4f} {tc / tb:7.3f}  {flags}"
+                      f"  steps={cstats.kernel_steps} evals={cstats.kernel_evals}")
+    print(f"change won {won}/{len(ratios)}; median ratio {statistics.median(ratios):.3f}; "
+          f"instances with different answers or counters: {differ}")
+    print(f"coordinates equal but for the sign of zero: {zeros_total}")
+    for side in sides:
+        print(f"{side:<6} sha256 {digest[side].hexdigest()} "
+              f"kernel_steps {steps[side]} kernel_evals {evals[side]}")
+        print(f"{side:<6} sha256 with zeros unsigned {unsigned[side].hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,7 +47,9 @@ A segment ends once one evaluation (a bracket end or a step) gives an excess
 within eps/2 of zero (the root stop), and that evaluation's allocation is the
 one per-element array kept. Its residual is filled from it in index order,
 up inside d - x(lam) for a hit from below, down inside x(lam) - c for a hit
-from above, with every gap capped at the residual. The box bound is sound:
+from above, with every gap capped at the residual: one add to the first
+element with room where it holds all of it (`_add_residuals`, the closed
+form), the general fill elsewhere. The box bound is sound:
 x(lam) is exactly optimal for its own sum R', and optimal allocations are
 coordinatewise monotone in the target, so an optimum for R lies in the box
 [x(lam) - |R - R'|, x(lam)] (or its mirror above x(lam)), and so does the
@@ -168,6 +170,22 @@ def _segment_fill(lo, gaps, offsets, residuals, lengths):
     return lo + take
 
 
+def _add_residuals(x, lo, hi, offsets, lengths, resid, which):
+    """Add the residual of each segment flagged in `which` to its first
+    element with room (hi - x above, x - lo below) where that room is at least
+    |resid|, in place, the one element `_segment_fill` would move; returns where."""
+    down = resid < 0
+    k = offsets[:-1]
+    if not (np.where(down, x[k] > lo[k], x[k] < hi[k]) | ~which).all():
+        # some segment starts at its bound: find each one's first room
+        pos = np.flatnonzero(np.where(np.repeat(down, lengths), x > lo, x < hi))
+        k = np.minimum(np.append(pos, x.size)[np.searchsorted(pos, k)], offsets[1:] - 1)
+    room = np.where(down, x[k] - lo[k], hi[k] - x[k])  # 0 where a segment has none
+    one = which & (room >= np.abs(resid))
+    x[k[one]] += resid[one]
+    return one
+
+
 def _inverse_map(obj, idx, lo, hi):
     """`obj.inverse_map(idx)`, or for CUSTOM a map of the same signature
     that inverts f' by bisection inside the boxes [lo, hi]."""
@@ -191,15 +209,15 @@ def _bisect_inverse(obj, idx, lam_e, lo, hi):
 
 
 def _bracket_segments(obj, idx, lo, hi, offsets, targets, stats=None):
+    """Each segment's multiplier bracket; every element is movable (hi > lo)."""
     stats = SolveStats() if stats is None else stats
     starts = offsets[:-1]
-    free = hi > lo
     stats.kernel_evals += 2 * idx.size
     with np.errstate(divide="ignore", invalid="ignore"):
         d_lo = obj.derivative_at(idx, lo)
         d_hi = obj.derivative_at(idx, hi)
-    lam_lo = np.minimum.reduceat(np.where(free, d_lo, np.inf), starts)
-    lam_hi = np.maximum.reduceat(np.where(free, d_hi, -np.inf), starts)
+    lam_lo = np.minimum.reduceat(d_lo, starts)
+    lam_hi = np.maximum.reduceat(d_hi, starts)
     bad = ~np.isfinite(lam_lo) | ~np.isfinite(lam_hi)
     if np.any(bad):
         # pole or unbounded box at a bracket end: pass the bracket through a
@@ -213,8 +231,8 @@ def _bracket_segments(obj, idx, lo, hi, offsets, targets, stats=None):
         x_f = lo + room * np.repeat(share, lengths)
         d_f = obj.derivative_at(idx, x_f)
         stats.kernel_evals += idx.size
-        lam_lo = np.where(bad, np.minimum.reduceat(np.where(free, d_f, np.inf), starts), lam_lo)
-        lam_hi = np.where(bad, np.maximum.reduceat(np.where(free, d_f, -np.inf), starts), lam_hi)
+        lam_lo = np.where(bad, np.minimum.reduceat(d_f, starts), lam_lo)
+        lam_hi = np.where(bad, np.maximum.reduceat(d_f, starts), lam_hi)
     return lam_lo, lam_hi, bad, d_lo, d_hi
 
 
@@ -222,7 +240,7 @@ def _interior_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len):
     """The distinct breakpoints f'_i(c_i) and f'_i(d_i) that lie strictly
     inside their segment's bracket, sorted by segment and value, and each
     segment's index range [a, b) into them."""
-    ids = np.arange(seg_len.size)
+    ids = np.arange(seg_len.size, dtype=np.int16)  # < 2000 open elements, >= 2 a segment
     lo_e = np.repeat(lam_lo, seg_len)
     hi_e = np.repeat(lam_hi, seg_len)
     # infinite and NaN values fail the strict comparisons
@@ -231,7 +249,8 @@ def _interior_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len):
     seg_e = np.repeat(ids, seg_len)
     vals = np.concatenate([d_lo[in_lo], d_hi[in_hi]])
     seg = np.concatenate([seg_e[in_lo], seg_e[in_hi]])
-    order = np.lexsort((vals, seg))
+    order = np.argsort(vals, kind="stable")  # then stably by segment id
+    order = order[np.argsort(seg[order], kind="stable")]
     vals, seg = vals[order], seg[order]
     first = np.ones(vals.size, dtype=bool)
     first[1:] = (vals[1:] != vals[:-1]) | (seg[1:] != seg[:-1])
@@ -410,6 +429,12 @@ def solve_segments_continuous(
     def finalize(sel):
         """Repair converged segments: fill each residual in index order from
         the hit's allocation, or from the bracket ends where none hit."""
+        r = seg_tgt - np.add.reduceat(x_fin, seg_off[:-1])
+        one = _add_residuals(x_fin, e_lo, e_hi, seg_off, seg_len, r, sel & hit)
+        x_out[out_pos] = x_fin  # read in place; live segments write again as they end
+        sel = sel & ~one
+        if not sel.any():
+            return
         tgt = seg_tgt[sel]
         pos, sub_off, sub_len, (xf, xl, xh) = _select_segments(sel, seg_off, x_fin, e_lo, e_hi)
         h = hit[sel]
@@ -419,7 +444,7 @@ def solve_segments_continuous(
             _, xl[q], xh[q] = x_ends(sel & ~hit)
         # a hit fills from its own allocation toward the target: up inside
         # [x_fin, e_hi] when short of it, down inside [e_lo, x_fin] when over
-        down = h & (np.add.reduceat(xf, sub_off[:-1]) > tgt)
+        down = h & (r[sel] < 0)
         np.copyto(xl, xf, where=np.repeat(h & ~down, sub_len))
         np.copyto(xh, xf, where=np.repeat(down, sub_len))
         gaps = xh - xl

@@ -168,9 +168,11 @@ def solve(
         starts, ends = P[v - 1], P[w]
         # targets in original coordinates: shifted block budget plus lower mass
         targets = (abar[w] - abar[v - 1]) + (lower_cum[ends] - lower_cum[starts])
-        e_idx = _concat_ranges(starts, ends)
         offsets = np.concatenate([[0], np.cumsum(ends - starts)])
-        box_lo, box_hi = cb[e_idx], db[e_idx]
+        whole = offsets[-1] == inst.n
+        e_idx = np.arange(inst.n) if whole else _concat_ranges(starts, ends)
+        at = slice(None) if whole else e_idx  # a level over all: box views, x in place
+        box_lo, box_hi = cb[at], db[at]
         if inst.mode is Mode.CONTINUOUS:
             vals = solve_segments_continuous(
                 inst.objective, e_idx, box_lo, box_hi, offsets, targets, eps_sub, deadline, stats
@@ -188,7 +190,7 @@ def solve(
                 f"{float(vals[k])} lies outside [{float(box_lo[k])}, {float(box_hi[k])}] "
                 f"by {float(excess[k])}"
             )
-        x[e_idx] = vals
+        x[at] = vals
         stats.rap_calls += int(v.size)
         if deadline is not None and time.perf_counter() > deadline:
             raise SolveTimeout("time limit exceeded")

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nested_alloc import Family, Mode, NestedInstance, ObjectiveSpec, ValidationError
-from nested_alloc.model import DomainError, objective_value
+from nested_alloc.model import DomainError, _fsum, objective_value
 from nested_alloc import rap
 
 from conftest import OBJECTIVE_FAMILIES, random_objective
@@ -409,3 +411,83 @@ def test_objective_value_is_fsum():
     x = np.array([1.0, 3.0])
     expected = math.fsum([inst.objective.value(0, 1.0), inst.objective.value(1, 3.0)])
     assert objective_value(inst, x) == expected
+
+
+def _fsum_outcome(f, values):
+    """What f gives over `values`: ("value", bits of the double), or the
+    exception type and message it raises."""
+    try:
+        out = f(values)
+    except (OverflowError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return "value", np.float64(out).tobytes()  # NaN, inf and the sign of zero included
+
+
+def _assert_fsum_equal(values):
+    lst = [float(v) for v in values]
+    arr = np.array(lst, dtype=np.float64)
+    assert _fsum_outcome(_fsum, arr) == _fsum_outcome(math.fsum, lst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60),
+       st.lists(st.integers(0, 59), max_size=20))
+def test_fsum_equals_math_fsum_on_any_finite_values(values, negate):
+    """Values drawn over the whole double range, huge and subnormal, with
+    exact +-v cancellations; sums past the largest double raise as in fsum."""
+    values += [-values[k] for k in negate if k < len(values)]
+    _assert_fsum_equal(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5000), st.integers(-1074, 1023), st.integers(0, 2100),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
+def test_fsum_equals_math_fsum_on_long_arrays(n, e_min, span, seed, cancel):
+    """Lengths 0-5000 with exponents drawn from [e_min, e_min + span], which
+    reaches subnormals and the largest doubles, and a share of exact +-v."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    exps = rng.integers(e_min, min(e_min + span, 1023), n, endpoint=True)
+    v = np.ldexp(rng.uniform(0.5, 1.0, n), exps + 1) * rng.choice([-1.0, 1.0], n)
+    k = rng.random(n) < cancel
+    v[k] = -v[rng.permutation(n)[: np.count_nonzero(k)]] if n else v[k]
+    _assert_fsum_equal(v)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0.0],
+        [-0.0],
+        [-0.0, -0.0, 0.0],
+        [1.5, -1.5],
+        [5e-324, -5e-324, 1e-310],
+        [math.inf, 1.0],
+        [-math.inf, 2.0, -1e308],
+        [math.nan, 1.0],
+        [math.inf, math.nan],
+        [math.inf, -math.inf],
+        [1e308, 1e308],
+        [1e308, 1e308, -1e308],
+        [1e308, -1e308, 3.0],
+        [2.0**1023, 2.0**970, -(2.0**1023)],
+    ],
+)
+def test_fsum_special_values_as_math_fsum(values):
+    """Infinities, NaN, inf - inf, overflow and zeros give what fsum gives,
+    raises included."""
+    _assert_fsum_equal(values)
+
+
+def test_objective_value_sum_is_fsum_on_large_allocations():
+    """`objective_value` at n = 20000 over costs spanning many decades,
+    crashing costs with huge terms near the pole, equals fsum bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    n = 20000
+    obj = ObjectiveSpec(Family.CRASHING, {"k": rng.uniform(-1e6, 1e6, n),
+                                          "p": 10.0 ** rng.uniform(-8, 8, n)})
+    inst = NestedInstance(n=n, m=1, s=[n], a=[], B=float(n), lower=np.full(n, 1e-9),
+                          upper=np.full(n, 10.0), objective=obj, mode=Mode.CONTINUOUS)
+    x = 10.0 ** rng.uniform(-9, 1, n)
+    expected = math.fsum(obj.value_at(np.arange(n), x).tolist())
+    assert np.float64(objective_value(inst, x)).tobytes() == np.float64(expected).tobytes()

@@ -544,12 +544,36 @@ def _fast_paths(lo, hi, offsets, targets):
     return x, ~closed
 
 
+def _masked_bracket(obj, idx, lo, hi, offsets, targets):
+    """`_bracket_segments` as it was while point boxes reached it: the bracket
+    ends skip every element with hi == lo."""
+    starts = offsets[:-1]
+    free = hi > lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_lo = obj.derivative_at(idx, lo)
+        d_hi = obj.derivative_at(idx, hi)
+    lam_lo = np.minimum.reduceat(np.where(free, d_lo, np.inf), starts)
+    lam_hi = np.maximum.reduceat(np.where(free, d_hi, -np.inf), starts)
+    bad = ~np.isfinite(lam_lo) | ~np.isfinite(lam_hi)
+    if np.any(bad):
+        lengths = np.diff(offsets)
+        resid = targets - np.add.reduceat(lo, starts)
+        room = np.minimum(hi - lo, np.repeat(np.maximum(resid, 0.0), lengths))
+        cap = np.add.reduceat(room, starts)
+        share = np.where(cap > 0, resid / np.where(cap > 0, cap, 1.0), 0.0)
+        d_f = obj.derivative_at(idx, lo + room * np.repeat(share, lengths))
+        lam_lo = np.where(bad, np.minimum.reduceat(np.where(free, d_f, np.inf), starts), lam_lo)
+        lam_hi = np.where(bad, np.maximum.reduceat(np.where(free, d_f, -np.inf), starts), lam_hi)
+    return lam_lo, lam_hi
+
+
 def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, max_iter=2400):
     """`solve_segments_continuous` as it was before it interpolated: plain
     bisection of every segment's multiplier bracket, kept verbatim as the
     reference for the Illinois search. Its fast paths (`_fast_paths`) close
     only segments with a target at or past a box-sum end and single
-    elements, so point boxes stay in its working set."""
+    elements, so point boxes stay in its working set, and its bracket
+    (`_masked_bracket`) skips them."""
     x_out, open_seg = _fast_paths(lo, hi, offsets, targets)
     if not open_seg.any():
         return x_out
@@ -565,7 +589,7 @@ def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, 
     seg_tgt = targets[seg_ids]
     seg_of = np.repeat(np.arange(len(seg_ids)), lengths)
 
-    lam_lo, lam_hi = _bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)[:2]
+    lam_lo, lam_hi = _masked_bracket(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)
     # allocations at the bracket ends, maintained incrementally per bisection
     x_l = _clamped_inverse(obj, e_idx, lam_lo[seg_of], e_lo, e_hi)
     x_h = _clamped_inverse(obj, e_idx, lam_hi[seg_of], e_lo, e_hi)
@@ -1200,3 +1224,171 @@ def test_point_boxes_leave_the_integer_search(monkeypatch, family):
     assert np.array_equal(x_full[s_idx], x_bare)
     assert stats.kernel_steps == bare.kernel_steps > 0
     assert stats.kernel_evals == bare.kernel_evals > 0
+
+
+# -- one-add repair of hit segments and the breakpoint sort ----------------
+
+
+def _index_order_fill(x, lo, hi, r):
+    """The fill a hit segment took before the one-add repair: the residual r
+    placed in index order from x, up inside hi - x or, negated, down inside
+    x - lo, every gap capped at |r| (`_segment_fill` on one segment)."""
+    n = np.array([x.size])
+    off = np.array([0, x.size])
+    if r < 0:
+        return -_segment_fill(-x, np.minimum(x - lo, -r), off, np.array([-r]), n)
+    return _segment_fill(x, np.minimum(hi - x, r), off, np.array([r]), n)
+
+
+def _repair_layout(rng, lengths):
+    """Random x in [lo, hi] with a share of elements at a bound and a few
+    infinite upper bounds."""
+    n = int(np.sum(lengths))
+    lo = rng.uniform(0.0, 1.0, n)
+    hi = lo + rng.uniform(1e-3, 1.0, n)
+    hi[rng.random(n) < 0.1] = np.inf
+    x = lo + rng.uniform(0.0, 1.0, n) * np.where(np.isfinite(hi), hi - lo, 1.0)
+    x = np.where(rng.random(n) < 0.2, lo, x)
+    x = np.where(rng.random(n) < 0.2, hi, x)
+    return np.where(np.isfinite(x), x, lo), lo, hi
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_residuals_is_the_index_order_fill(seed):
+    """Where `_add_residuals` adds, it gives the index-order fill: the same
+    element takes r, bit for bit, and the fill's rounding crumbs elsewhere
+    (its running sums round) stay below 4 eps |r|. Where it declines, the
+    first room is short of |r|; segments it is not asked about stay
+    untouched."""
+    rng = np.random.Generator(np.random.PCG64(300 + seed))
+    lengths = rng.integers(1, 12, 40)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    x, lo, hi = _repair_layout(rng, lengths)
+    resid = rng.choice([-1.0, 1.0], lengths.size) * 10.0 ** rng.uniform(-12, 0.5, lengths.size)
+    resid[::7] = 0.0
+    resid[3::7] = -5.0  # more than any room below
+    which = rng.random(lengths.size) < 0.9
+    out = x.copy()
+    one = rap_module._add_residuals(out, lo, hi, offsets, lengths, resid, which)
+    assert not one[~which].any()
+    assert 0 < one.sum() < which.sum()
+    for j, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
+        if not which[j]:
+            assert np.array_equal(out[s:e], x[s:e])
+            continue
+        ref = _index_order_fill(x[s:e], lo[s:e], hi[s:e], resid[j])
+        room = (x - lo if resid[j] < 0 else hi - x)[s:e]
+        if one[j]:
+            moved = np.flatnonzero(out[s:e] != x[s:e])
+            assert moved.size <= 1 and np.array_equal(out[s:e][moved], ref[moved])
+            assert np.all(np.abs(out[s:e] - ref) <= 4 * np.finfo(float).eps * abs(resid[j]))
+        else:
+            assert np.array_equal(out[s:e], x[s:e])
+            first = np.flatnonzero(room > 0)
+            assert first.size == 0 or room[first[0]] < abs(resid[j])
+
+
+@pytest.mark.parametrize("up", [True, False])
+def test_add_residuals_cases(up):
+    """Up (r > 0) and down (r < 0): the first room past an element at its bound
+    takes r whole; an infinite upper bound is room enough; a first room
+    smaller than |r| leaves the segment to the fill, which spills."""
+    lo = np.zeros(9)
+    hi = np.array([1.0, 1.0, 1.0, 1.0, np.inf, 1.0, 1.0, 1.0, 1.0])
+    if up:
+        x = np.array([1.0, 0.5, 0.3, 1.0, 0.0, 0.5, 0.9999, 0.5, 0.5])
+        r = np.array([0.25, 7.5, 0.25])
+    else:
+        x = np.array([0.0, 0.5, 0.3, 0.0, 0.4, 0.5, 0.0001, 0.5, 0.5])
+        r = np.array([-0.25, -0.1, -0.25])
+    lengths = np.array([3, 3, 3])
+    offsets = np.array([0, 3, 6, 9])
+    out = x.copy()
+    one = rap_module._add_residuals(out, lo, hi, offsets, lengths, r, np.ones(3, dtype=bool))
+    assert one.tolist() == [True, True, False]
+    assert out[1] == x[1] + r[0] and out[4] == x[4] + r[1]
+    for j in range(2):
+        s, e = offsets[j], offsets[j + 1]
+        assert np.array_equal(out[s:e], _index_order_fill(x[s:e], lo[s:e], hi[s:e], r[j]))
+    assert np.array_equal(out[6:], x[6:])
+    spilled = _index_order_fill(x[6:], lo[6:], hi[6:], r[2])
+    assert np.count_nonzero(spilled != x[6:]) == 2
+    assert abs(spilled.sum() - (x[6:].sum() + r[2])) <= 1e-15
+
+
+@pytest.mark.parametrize("large", [False, True])
+def test_one_call_mixes_repair_routes(monkeypatch, large):
+    """A call whose hit segments go some through the one add and some through
+    the general fill gives the answer of a call that fills them all: every
+    other segment is kept from the one add by a wrapper."""
+    rng = np.random.Generator(np.random.PCG64(310 + large))
+    lengths = np.array(MIXED_LENGTHS * (6 if large else 1))
+    c, d, targets = _random_boxes(rng, lengths)
+    obj = random_objective(rng, Family.CRASHING, c.size)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    idx = np.arange(c.size)
+    assert (c.size >= rap_module._BREAKPOINT_PHASE_ELEMENTS) == large
+    add = rap_module._add_residuals
+    routes = []
+
+    def every_other(x, lo, hi, offsets, lengths, resid, which):
+        which = which.copy()
+        which[1::2] = False
+        one = add(x, lo, hi, offsets, lengths, resid, which)
+        routes.append((int(one.sum()), int((~one).sum())))
+        return one
+
+    def none(x, lo, hi, offsets, lengths, resid, which):
+        return np.zeros(which.size, dtype=bool)
+
+    base_stats = SolveStats()
+    base = solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9, stats=base_stats)
+    outs = []
+    for wrapper in (every_other, none):
+        monkeypatch.setattr(rap_module, "_add_residuals", wrapper)
+        stats = SolveStats()
+        outs.append(solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9, stats=stats))
+        assert (stats.kernel_steps, stats.kernel_evals) == (base_stats.kernel_steps,
+                                                            base_stats.kernel_evals)
+    assert all(a > 0 and b > 0 for a, b in routes)
+    tol = 4 * np.finfo(float).eps * np.maximum(np.abs(base), 1.0)
+    for x in outs:
+        assert np.all(np.abs(x - base) <= tol)
+
+
+def _lexsort_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len):
+    """`_interior_breakpoints` as it sorted before: one `np.lexsort`."""
+    ids = np.arange(seg_len.size)
+    lo_e, hi_e = np.repeat(lam_lo, seg_len), np.repeat(lam_hi, seg_len)
+    in_lo = (d_lo > lo_e) & (d_lo < hi_e)
+    in_hi = (d_hi > lo_e) & (d_hi < hi_e)
+    seg_e = np.repeat(ids, seg_len)
+    vals = np.concatenate([d_lo[in_lo], d_hi[in_hi]])
+    seg = np.concatenate([seg_e[in_lo], seg_e[in_hi]])
+    order = np.lexsort((vals, seg))
+    vals, seg = vals[order], seg[order]
+    first = np.ones(vals.size, dtype=bool)
+    first[1:] = (vals[1:] != vals[:-1]) | (seg[1:] != seg[:-1])
+    vals, seg = vals[first], seg[first]
+    return vals, np.searchsorted(seg, ids), np.searchsorted(seg, ids, side="right")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_breakpoint_sort_matches_lexsort(seed):
+    """The value-then-segment stable sort gives the lexsort's breakpoints and
+    ranges on keys with ties within and across segments, infinite and NaN
+    keys and infinite bracket ends among them."""
+    rng = np.random.Generator(np.random.PCG64(320 + seed))
+    seg_len = rng.integers(2, 7, 400)  # about 1800 elements, as below the phase bound
+    n = int(seg_len.sum())
+    keys = np.concatenate([np.arange(-8.0, 8.0) / 4.0, [np.inf, -np.inf, np.nan]])
+    d_lo = rng.choice(keys, n)
+    d_hi = rng.choice(keys, n)
+    lam_lo = rng.choice(keys[:8], seg_len.size)
+    lam_hi = rng.choice(keys[8:16], seg_len.size)
+    lam_lo[::9], lam_hi[::11] = -np.inf, np.inf
+    got = rap_module._interior_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len)
+    ref = _lexsort_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len)
+    assert ref[0].size > seg_len.size  # several breakpoints per segment, ties dropped
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
