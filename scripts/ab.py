@@ -9,18 +9,24 @@ imports. Solves are interleaved ABBA per instance and repetition, so both
 sides see the same drift of the host's speed.
 
     python3 scripts/ab.py --base HEAD --workload sparse-cont --seeds 0 1 2 --reps 3
+    python3 scripts/ab.py --base HEAD --workload dense-cont dense-int --seeds 0 --json ab.json
 
 Per instance it prints the median solve time of each side and their ratio
-(change / base), and whether the answers agree: `x` compared with
-`np.array_equal`, `Solution.objective` with `==`, and both kernel counters.
-The summary gives the instances the change won, the median ratio, the
-kernel counters summed per side and two sha256 per side over every `x` of
-every instance: of the bytes as they are, and with -0.0 read as 0.0.
+(change / base), whether the answers agree (`x` compared with
+`np.array_equal`, `Solution.objective` with `==`, and both kernel counters),
+and how far they moved: the largest |x_change - x_base| over the instance.
+The summary per workload gives the instances the change won, the median
+ratio, the largest move, the continuous instances that moved by more than
+the benchmark's accuracy `workloads.EPS` and the integer instances whose
+`x` is not equal, the kernel counters summed per side and two sha256 per
+side over every `x` of every instance: of the bytes as they are, and with
+-0.0 read as 0.0. `--json PATH` also writes every row and summary there.
 """
 
 import argparse
 import hashlib
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -81,72 +87,125 @@ def timed_solve(solve, inst, eps):
     return time.perf_counter() - t, sol, stats
 
 
-def main() -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--base", required=True, help="git revision to compare against")
-    p.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--reps", type=int, default=1, help="ABBA repetitions per instance")
-    args = p.parse_args()
+def max_move(bx, cx) -> float:
+    """Largest |cx - bx| (0 where neither side has an allocation, inf where
+    one side alone has one)."""
+    if bx is None or cx is None:
+        return 0.0 if bx is None and cx is None else float("inf")
+    return float(np.max(np.abs(cx - bx), initial=0.0))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        base_solver, base_model = import_base(args.base, Path(tmp))
-        sides = {"base": base_solver.solve, "change": change_solver.solve}
-        digest = {side: hashlib.sha256() for side in sides}
-        unsigned = {side: hashlib.sha256() for side in sides}  # x + 0.0: -0.0 reads 0.0
-        ratios, won, differ, zeros_total = [], 0, 0, 0
-        steps = {side: 0 for side in sides}
-        evals = {side: 0 for side in sides}
-        print(f"{'instance':<28} {'base_s':>9} {'change_s':>9} {'ratio':>7}  same")
-        for seed in args.seeds:
-            for item in workloads.build(args.workload, seed).items:
-                insts = {"base": as_base(item.inst, base_model), "change": item.inst}
-                times = {side: [] for side in sides}
-                last = {}
-                for _ in range(args.reps):
-                    for side in ("base", "change", "change", "base"):
-                        t, *last[side] = timed_solve(sides[side], insts[side], item.eps)
-                        times[side].append(t)
-                (bsol, bstats), (csol, cstats) = last["base"], last["change"]
-                for side, (sol, st) in last.items():
-                    steps[side] += st.kernel_steps
-                    evals[side] += st.kernel_evals
-                    if sol.x is not None:
-                        digest[side].update(np.ascontiguousarray(sol.x).tobytes())
-                        unsigned[side].update((sol.x + 0.0).tobytes())
-                same_x = (bsol.x is None and csol.x is None) or (
-                    bsol.x is not None and csol.x is not None and np.array_equal(bsol.x, csol.x)
-                )
-                same_obj = bsol.objective == csol.objective or (
-                    np.isnan(bsol.objective) and np.isnan(csol.objective)
-                )
-                same_counts = (bstats.kernel_steps, bstats.kernel_evals) == (
-                    cstats.kernel_steps, cstats.kernel_evals
-                )
-                # coordinates equal as numbers but not bit for bit: zeros of
-                # opposite sign, which np.array_equal does not tell apart
-                signed_zeros = 0 if not same_x or bsol.x is None else int(np.count_nonzero(
-                    np.signbit(bsol.x) != np.signbit(csol.x)
-                ))
-                zeros_total += signed_zeros
-                same = same_x and same_obj and same_counts
-                differ += not same
-                tb, tc = statistics.median(times["base"]), statistics.median(times["change"])
-                ratios.append(tc / tb)
-                won += tc < tb
-                label = f"{item.family} n={item.n} m={item.m} s={item.seed}"
-                flags = "yes" if same else f"NO x={same_x} obj={same_obj} counts={same_counts}"
-                if signed_zeros:
-                    flags += f" ({signed_zeros} zeros of opposite sign)"
-                print(f"{label:<28} {tb:9.4f} {tc:9.4f} {tc / tb:7.3f}  {flags}"
-                      f"  steps={cstats.kernel_steps} evals={cstats.kernel_evals}")
-    print(f"change won {won}/{len(ratios)}; median ratio {statistics.median(ratios):.3f}; "
-          f"instances with different answers or counters: {differ}")
+
+def compare(workload, seeds, reps, sides, base_model) -> dict:
+    """A/B of one workload over `seeds`; prints its rows and summary."""
+    digest = {side: hashlib.sha256() for side in sides}
+    unsigned = {side: hashlib.sha256() for side in sides}  # x + 0.0: -0.0 reads 0.0
+    rows, ratios, won, zeros_total = [], [], 0, 0
+    steps = {side: 0 for side in sides}
+    evals = {side: 0 for side in sides}
+    print(f"== {workload} seeds {' '.join(map(str, seeds))}")
+    print(f"{'instance':<28} {'base_s':>9} {'change_s':>9} {'ratio':>7} {'max_dx':>9}  same")
+    for seed in seeds:
+        for item in workloads.build(workload, seed).items:
+            insts = {"base": as_base(item.inst, base_model), "change": item.inst}
+            times = {side: [] for side in sides}
+            last = {}
+            for _ in range(reps):
+                for side in ("base", "change", "change", "base"):
+                    t, *last[side] = timed_solve(sides[side], insts[side], item.eps)
+                    times[side].append(t)
+            (bsol, bstats), (csol, cstats) = last["base"], last["change"]
+            for side, (sol, st) in last.items():
+                steps[side] += st.kernel_steps
+                evals[side] += st.kernel_evals
+                if sol.x is not None:
+                    digest[side].update(np.ascontiguousarray(sol.x).tobytes())
+                    unsigned[side].update((sol.x + 0.0).tobytes())
+            same_x = (bsol.x is None and csol.x is None) or (
+                bsol.x is not None and csol.x is not None and np.array_equal(bsol.x, csol.x)
+            )
+            same_obj = bsol.objective == csol.objective or (
+                np.isnan(bsol.objective) and np.isnan(csol.objective)
+            )
+            same_counts = (bstats.kernel_steps, bstats.kernel_evals) == (
+                cstats.kernel_steps, cstats.kernel_evals
+            )
+            # coordinates equal as numbers but not bit for bit: zeros of
+            # opposite sign, which np.array_equal does not tell apart
+            signed_zeros = 0 if not same_x or bsol.x is None else int(np.count_nonzero(
+                np.signbit(bsol.x) != np.signbit(csol.x)
+            ))
+            zeros_total += signed_zeros
+            same = same_x and same_obj and same_counts
+            dx = max_move(bsol.x, csol.x)
+            tb, tc = statistics.median(times["base"]), statistics.median(times["change"])
+            ratios.append(tc / tb)
+            won += tc < tb
+            label = f"{item.family} n={item.n} m={item.m} s={item.seed}"
+            flags = "yes" if same else f"NO x={same_x} obj={same_obj} counts={same_counts}"
+            if signed_zeros:
+                flags += f" ({signed_zeros} zeros of opposite sign)"
+            print(f"{label:<28} {tb:9.4f} {tc:9.4f} {tc / tb:7.3f} {dx:9.2e}  {flags}"
+                  f"  steps={cstats.kernel_steps} evals={cstats.kernel_evals}")
+            rows.append({
+                **item.describe(), "base_s": round(tb, 5), "change_s": round(tc, 5),
+                "max_dx": float(f"{dx:.3g}"), "same": same, "same_x": same_x,
+                "steps": [bstats.kernel_steps, cstats.kernel_steps],
+                "evals": [bstats.kernel_evals, cstats.kernel_evals],
+            })
+    summary = {
+        "won": won,
+        "instances": len(rows),
+        "median_ratio": statistics.median(ratios),
+        "differ": sum(not r["same"] for r in rows),
+        "max_dx": max(r["max_dx"] for r in rows),
+        "cont_above_eps": sum(r["mode"] == "cont" and r["max_dx"] > workloads.EPS for r in rows),
+        "int_not_equal": sum(r["mode"] == "int" and not r["same_x"] for r in rows),
+        "signed_zeros": zeros_total,
+        "kernel_steps": steps,
+        "kernel_evals": evals,
+        "sha256": {side: digest[side].hexdigest() for side in sides},
+        "sha256_zeros_unsigned": {side: unsigned[side].hexdigest() for side in sides},
+    }
+    print(f"change won {summary['won']}/{len(rows)}; median ratio {summary['median_ratio']:.3f}; "
+          f"instances with different answers or counters: {summary['differ']}")
+    print(f"largest |x_change - x_base| {summary['max_dx']:.3g}; continuous instances above "
+          f"eps {workloads.EPS:g}: {summary['cont_above_eps']}; integer instances not equal: "
+          f"{summary['int_not_equal']}")
     print(f"coordinates equal but for the sign of zero: {zeros_total}")
     for side in sides:
         print(f"{side:<6} sha256 {digest[side].hexdigest()} "
               f"kernel_steps {steps[side]} kernel_evals {evals[side]}")
         print(f"{side:<6} sha256 with zeros unsigned {unsigned[side].hexdigest()}")
+    return {"workload": workload, "seeds": seeds, "rows": rows, "summary": summary}
+
+
+def to_json(args, results) -> str:
+    """The run as JSON, one line per instance row (steps and evals as
+    [base, change]), so result files diff row by row."""
+    head = json.dumps({"base": args.base, "reps": args.reps, "eps": workloads.EPS})
+    parts = []
+    for r in results:
+        meta = json.dumps({k: r[k] for k in ("workload", "seeds", "summary")})
+        rows = ",\n".join(json.dumps(row) for row in r["rows"])
+        parts.append(f'{meta[:-1]},\n "rows": [\n{rows}]}}')
+    return f'{head[:-1]}, "workloads": [\n' + ",\n".join(parts) + "]}\n"
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git revision to compare against")
+    p.add_argument("--workload", required=True, nargs="+", choices=workloads.WORKLOADS)
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--reps", type=int, default=1, help="ABBA repetitions per instance")
+    p.add_argument("--json", type=Path, help="also write every row and summary to this file")
+    args = p.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base_solver, base_model = import_base(args.base, Path(tmp))
+        sides = {"base": base_solver.solve, "change": change_solver.solve}
+        results = [compare(w, args.seeds, args.reps, sides, base_model) for w in args.workload]
+    if args.json is not None:
+        args.json.write_text(to_json(args, results))
     return 0
 
 

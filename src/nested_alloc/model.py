@@ -248,11 +248,12 @@ class ObjectiveSpec:
         lam[k] when seg_len is None). Work that depends on lam alone runs on
         the per-segment array, which leaves a run-length spread and one or two
         arithmetic operations per element: the pole families' x = g h(lam) is
-        one multiply by g, gathered here. Given positions `k` (and no
-        seg_len), it evaluates only the elements at positions k of `idx`,
-        element k[j] at lam[j]. The pole families give +inf for lam >= 0 and 0
-        at lam = -inf. None for CUSTOM, which has no closed form; the
-        continuous kernel inverts its f' by bisection instead.
+        one multiply by g, gathered here. Given positions `k`, it evaluates
+        only the elements at positions k of `idx`: element k[j] at lam[j],
+        or, with seg_len, the segments of those positions at one multiplier
+        each. The pole families give +inf for lam >= 0 and 0 at lam = -inf.
+        None for CUSTOM, which has no closed form; the continuous kernel
+        inverts its f' by bisection instead.
         """
         fam = self.family
         if fam is Family.CUSTOM:

@@ -12,12 +12,23 @@ target less its point-box mass, are searched, finished and counted.
 The continuous kernel searches the multiplier of the coupling constraint:
 x_i(lam) = clamp(inv(f'_i)(lam), c_i, d_i) is nondecreasing in lam, so the
 bracket [lam_lo, lam_hi] with sum(x(lam_lo)) <= R <= sum(x(lam_hi)) narrows
-until the segment ends. The bracket runs from the least derivative at the
-floor, lam_lo = min f'(c), to the largest at the top, lam_hi = max f'(d),
+until the segment ends. The cold bracket runs from the least derivative at
+the floor, lam_lo = min f'(c), to the largest at the top, lam_hi = max f'(d),
 where x is exactly c and d, so the excess sum(x) - R at the ends costs no
 evaluation. Only a segment whose end is not finite (a pole at 0, an unbounded
 box) passes its bracket through an interior point instead and has x
 evaluated at both ends.
+
+A warm bracket replaces the cold one where the caller passes two probe
+multipliers per segment (`probes`; the solver passes a merged segment its
+two children's final multipliers, which the kernel writes to `lam_out`).
+Open segments of at least `_BREAKPOINT_PHASE_ELEMENTS` movable elements have
+x evaluated at both probes. Where the excess is <= 0 at the lower probe and
+>= 0 at the upper one they straddle the root and are the bracket, and the
+segment skips the cold bracket's two derivatives per element; a probe whose
+excess is within eps/2 is a hit and ends the segment. Every other segment,
+one whose probes both lie on one side of the root included, takes the cold
+bracket: a lone probe as one bracket end raised step counts severalfold.
 
 Each step evaluates x at one multiplier per segment and keeps only
 per-segment state, in one loop for every call:
@@ -42,6 +53,12 @@ per-segment state, in one loop for every call:
   again once the breakpoint phase ends and after each forced midpoint, so a
   bracket that once fell behind interpolates again, and each halving takes
   at most four steps.
+- Geometric steps, in large calls of crashing and fuelopt. Near their pole
+  x(lam) runs over decades, and a cold bracket from a floor near 0 spans
+  many of them (lam_lo = -p / c^2), where neither regula falsi in lam nor
+  the midpoint gets far. While a bracket's ends differ by more than a factor
+  of `_GEOMETRIC_RATIO`, the step is their geometric mean -sqrt(lam_lo
+  lam_hi), which halves the bracket in log(-lam).
 
 A segment ends once one evaluation (a bracket end or a step) gives an excess
 within eps/2 of zero (the root stop), and that evaluation's allocation is the
@@ -100,8 +117,9 @@ through `_select_segments`, then use it to drop them from the working set and
 build the maps again for the live elements. Given a `SolveStats`, a kernel
 adds its multiplier steps to `kernel_steps` and its working set's
 per-element objective evaluations to `kernel_evals`: x(lam), bracket ends
-evaluated included, and the bracket's derivatives in the continuous kernel,
-unit marginals and probed continuous points in the integer kernel.
+and probes evaluated included (neither is a step), and the cold bracket's
+derivatives in the continuous kernel, unit marginals and probed continuous
+points in the integer kernel.
 """
 
 from __future__ import annotations
@@ -120,18 +138,16 @@ class SolveTimeout(RuntimeError):
 # Calls of fewer open elements than this run the breakpoint phase, then
 # interpolate crashing and fuelopt in h, restart the bisection budget after
 # the phase and after each forced midpoint, and finalize once without
-# compacting. On the benchmark's batch-small seed 0, whose calls all lie below
-# it, the kernel took 16938 steps and 13.10 evaluations per element per level
-# against 54340 and 34.06 when these calls bisected. Above it the phase costs
-# more than it saves: with no call above it, dense-cont seed 0 took 682 steps
-# against 1731 but 14.11 evaluations per element per level against 13.10 (the
-# sort of up to 2K breakpoints, and finished segments evaluated to the end),
-# and sparse-cont seed 0 took 212 steps against 170 and 19.90 evaluations
-# against 15.11; their solves took 4.0 s against 2.1 s and 7.4 s against
-# 3.5 s (one run each, 2 cores, NumPy 2.4). Regula falsi in h over the kinked
-# brackets of a large call lost too: the crashing n = m = 2e4 call took 75
-# map calls where bisection took 69.
+# compacting: there the phase's sort is cheap and saves most steps. Above it
+# the sort of up to twice as many breakpoints, and the finished segments the
+# phase keeps evaluating, cost more than the steps it saves, and regula falsi
+# in h over a large call's kinked brackets loses to bisection. Segments of at
+# least this many movable elements are also the ones that take probes
+# (`solve_segments_continuous`).
 _BREAKPOINT_PHASE_ELEMENTS = 2000
+# Large calls of a pole family (crashing, fuelopt) step at the geometric mean
+# of a bracket whose ends differ by more than this factor.
+_GEOMETRIC_RATIO = 16.0
 
 
 def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -303,13 +319,10 @@ def _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord):
     Each kernel sets its own budget. The continuous one starts `max_width`
     at 4x the bracket and, in small calls, starts it again after each
     breakpoint step and forced midpoint; the integer one starts it at 16x
-    and never restarts it. On the benchmark's seed-0 instances the integer
-    kernel took 106 and 154 dense-int steps (fuelopt, f) at 16x, 201 and 264
-    at 4x, 209 and 269 at 4x with restarts, 247 and 294 bisecting. In the
-    continuous kernel 16x would also take fewer steps (dense-cont 1731 ->
-    1429, batch-small 16938 -> 16847, sparse-cont 170 either way, with or
-    without restarts after forced midpoints) but changes its answers within
-    eps, so it is kept at 4x until a change of its own moves it.
+    and never restarts it, which took the fewest integer steps. 16x would
+    take fewer continuous steps too, but it moves continuous answers within
+    eps, so the continuous kernel keeps 4x until a change of its own moves
+    it.
     """
     if coord is None:
         prop = lam_lo - f_lo * (lam_hi - lam_lo) / (f_hi - f_lo)
@@ -353,19 +366,35 @@ def solve_segments_continuous(
     # apart. A small call spends at most 12 steps in its breakpoint phase
     # (fewer than 4000 breakpoints) and then at most 4 per halving, three
     # interpolation steps and the midpoint its budget forces; a large call
-    # takes at most one per halving plus the three its budget lets it fall
-    # behind. So 12 + 4 * 2099 = 8408 steps leave every bracket stuck, and the
-    # cap sits above that: the adjacent-doubles test ends pathological
-    # brackets, not the cap.
+    # takes at most one per halving, the three its budget lets it fall behind
+    # and, for a pole family, ten geometric steps (each takes the square root
+    # of the ratio of its ends, below 2^2099). So 12 + 4 * 2099 = 8408 steps
+    # leave every bracket stuck, and the cap sits above that: the
+    # adjacent-doubles test ends pathological brackets, not the cap.
     max_iter: int = 8500,
+    *,
+    probes: np.ndarray | None = None,
+    lam_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve every segment to per-coordinate accuracy eps_x with exact sums.
+
+    `probes`, of shape (segments, 2), holds two multipliers per segment (NaN
+    where there are none) that may bracket its root, such as its children's
+    final multipliers one level down. Open segments with at least
+    `_BREAKPOINT_PHASE_ELEMENTS` movable elements have x evaluated at both;
+    where they straddle the target they are the segment's bracket, and a
+    probe whose excess is within eps_x / 2 ends the segment. Given `lam_out`,
+    of shape (segments,), the kernel writes each segment's final multiplier
+    into it: its bracket's midpoint when it ends, NaN where `_working_set`
+    closes it.
 
     Raises RuntimeError if segments are still open after max_iter steps.
     """
     x_out, out_pos, seg_off, seg_len, e_idx, e_lo, e_hi, seg_tgt = _working_set(
         idx, lo, hi, offsets, targets
     )
+    if lam_out is not None:
+        lam_out[:] = np.nan
     if not seg_len.size:
         return x_out
     if stats is None:
@@ -373,6 +402,18 @@ def solve_segments_continuous(
     small = e_idx.size < _BREAKPOINT_PHASE_ELEMENTS
     inv = _inverse_map(obj, e_idx, e_lo, e_hi)
     coord = obj.multiplier_coordinate() if small else None
+    geometric = not small and obj.multiplier_coordinate() is not None
+    probes = None if small else probes
+    warm = seg_ids = None
+    if lam_out is not None or probes is not None:
+        # each open segment's position among the input segments
+        seg_ids = np.searchsorted(offsets, out_pos[seg_off[:-1]], side="right") - 1
+    if probes is not None:
+        p_lo, p_hi = probes[seg_ids].min(axis=1), probes[seg_ids].max(axis=1)  # NaN stays
+        warm = (seg_len >= _BREAKPOINT_PHASE_ELEMENTS) & np.isfinite(p_lo) & np.isfinite(p_hi)
+        if not warm.any():
+            warm = None
+    half_eps = 0.5 * eps_x
 
     def x_at(lam):
         """Clamped x(lam) of every open element, lam given per segment."""
@@ -381,45 +422,99 @@ def solve_segments_continuous(
         np.maximum(x, e_lo, out=x)
         return np.minimum(x, e_hi, out=x)
 
-    def x_ends(sel):
-        """Positions of the elements of the segments flagged in `sel`, and
-        their clamped x(lam_lo) and x(lam_hi), in one evaluation."""
-        pos, _, sub_len, _ = _select_segments(sel, seg_off)
-        k = np.concatenate([pos, pos])
-        lam_e = np.repeat(np.concatenate([lam_lo[sel], lam_hi[sel]]), np.tile(sub_len, 2))
-        stats.kernel_evals += k.size
-        x = inv(lam_e, k=k)
-        np.maximum(x, e_lo[k], out=x)
-        np.minimum(x, e_hi[k], out=x)
-        return pos, x[: pos.size], x[pos.size :]
+    def x_ends(sel, lam_a, lam_b):
+        """Positions of the elements of the segments flagged in `sel` (all of
+        them as a slice), their layout's offsets, and their clamped x at the
+        per-segment multipliers lam_a and lam_b, one map call each."""
+        if sel.all():
+            return slice(None), seg_off, x_at(lam_a), x_at(lam_b)
+        pos, sub_off, sub_len, (s_lo, s_hi) = _select_segments(sel, seg_off, e_lo, e_hi)
 
-    lam_lo, lam_hi, bad, d_lo, d_hi = _bracket_segments(
-        obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats
-    )
-    if small:
-        bp, bp_a, bp_b = _interior_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len)
-    del d_lo, d_hi  # the loop keeps no per-element state but x_fin
+        def at(lam):
+            stats.kernel_evals += pos.size
+            x = inv(lam[sel], sub_len, pos)
+            np.maximum(x, s_lo, out=x)
+            return np.minimum(x, s_hi, out=x)
+
+        return pos, sub_off, at(lam_a), at(lam_b)
+
     # x(lam_lo) = e_lo and x(lam_hi) = e_hi where the ends are the extreme
-    # derivatives at the box ends; only a bracket through an interior point
-    # has its ends evaluated
-    x_fin = e_lo.copy()
-    x_top = e_hi
+    # derivatives at the box ends; a bracket between probes or through an
+    # interior point has x evaluated at both ends. x_fin starts at x(lam_lo),
+    # or at x(lam_hi) where that end hits.
+    f_lo = np.add.reduceat(e_lo, seg_off[:-1]) - seg_tgt
+    f_hi = np.add.reduceat(e_hi, seg_off[:-1]) - seg_tgt
+
+    def warm_start():
+        """Brackets from the probes where they straddle or hit, the cold
+        bracket elsewhere; writes the probes' excess into f_lo and f_hi and
+        returns the brackets, the bad flags, x_fin and where x(lam_hi) is
+        e_hi."""
+        lam_lo, lam_hi = np.empty(seg_tgt.size), np.empty(seg_tgt.size)
+        pos, w_off, xa, xb = x_ends(warm, p_lo, p_hi)
+        fa = np.add.reduceat(xa, w_off[:-1]) - seg_tgt[warm]
+        fb = np.add.reduceat(xb, w_off[:-1]) - seg_tgt[warm]
+        hit_a, hit_b = np.abs(fa) <= half_eps, np.abs(fb) <= half_eps
+        # a lone probe is no bracket end: probes that neither straddle the
+        # target nor hit it leave their segment to the cold bracket
+        took = ((fa <= 0.0) & (fb >= 0.0)) | hit_a | hit_b
+        cold = np.ones(seg_tgt.size, dtype=bool)
+        cold[warm] = ~took
+        # a probe that hits is the segment's whole bracket
+        lam_lo[warm] = np.where(hit_b, p_hi[warm], p_lo[warm])
+        lam_hi[warm] = np.where(hit_a & ~hit_b, p_lo[warm], p_hi[warm])
+        f_lo[warm] = np.where(took, fa, f_lo[warm])
+        f_hi[warm] = np.where(took, fb, f_hi[warm])
+        np.copyto(xa, xb, where=np.repeat(hit_b, np.diff(w_off)))
+        del xb
+        if not cold.any():
+            # every segment starts from its probes: none is bad, and x_fin is
+            # the probes' allocation
+            return lam_lo, lam_hi, cold, xa, cold
+        if cold.all():
+            lam_lo, lam_hi, bad = _bracket_segments(
+                obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats
+            )[:3]
+        else:
+            bad = np.zeros(seg_tgt.size, dtype=bool)
+            _, c_off, _, sub = _select_segments(cold, seg_off, e_idx, e_lo, e_hi)
+            lam_lo[cold], lam_hi[cold], bad[cold] = _bracket_segments(
+                obj, *sub, c_off, seg_tgt[cold], stats
+            )[:3]
+            del sub
+        # allocated after the cold bracket, whose temporaries then meet only
+        # the probes' allocation
+        x_fin = e_lo.copy()
+        q = np.repeat(took, np.diff(w_off))
+        x_fin[np.flatnonzero(q) if isinstance(pos, slice) else pos[q]] = xa[q]
+        return lam_lo, lam_hi, bad, x_fin, cold & ~bad
+
+    if warm is None:
+        lam_lo, lam_hi, bad, d_lo, d_hi = _bracket_segments(
+            obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats
+        )
+        if small:
+            bp, bp_a, bp_b = _interior_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len)
+        del d_lo, d_hi  # the loop keeps no per-element state but x_fin
+        x_fin = e_lo.copy()
+        box_top = ~bad
+    else:
+        lam_lo, lam_hi, bad, x_fin, box_top = warm_start()
     if bad.any():
-        pos, xl, xh = x_ends(bad)
+        pos, sub_off, xl, xh = x_ends(bad, lam_lo, lam_hi)
+        f_lo[bad] = np.add.reduceat(xl, sub_off[:-1]) - seg_tgt[bad]
+        f_hi[bad] = np.add.reduceat(xh, sub_off[:-1]) - seg_tgt[bad]
+        np.copyto(xl, xh, where=np.repeat(np.abs(f_hi[bad]) <= half_eps, np.diff(sub_off)))
         x_fin[pos] = xl
-        x_top = e_hi.copy()
-        x_top[pos] = xh
-    # excess sum - target at each bracket end
-    f_lo = np.add.reduceat(x_fin, seg_off[:-1]) - seg_tgt
-    f_hi = np.add.reduceat(x_top, seg_off[:-1]) - seg_tgt
+        del xl, xh
     # root stop: an evaluation whose excess is within half_eps of zero ends
     # its segment, and x_fin keeps that evaluation's allocation; no other
     # per-element state is kept
-    half_eps = 0.5 * eps_x
     hit_hi = np.abs(f_hi) <= half_eps
     hit = hit_hi | (np.abs(f_lo) <= half_eps)
-    np.copyto(x_fin, x_top, where=np.repeat(hit_hi, seg_len))
-    del x_top
+    top = hit_hi & box_top
+    if top.any():
+        np.copyto(x_fin, e_hi, where=np.repeat(top, seg_len))
     # the bracket width the bisection budget allows (4x what plain halving
     # would leave), and the end moved by the last interpolation step (1 hi,
     # 0 lo, -1 none)
@@ -429,6 +524,8 @@ def solve_segments_continuous(
     def finalize(sel):
         """Repair converged segments: fill each residual in index order from
         the hit's allocation, or from the bracket ends where none hit."""
+        if lam_out is not None:
+            lam_out[seg_ids[sel]] = 0.5 * (lam_lo[sel] + lam_hi[sel])
         r = seg_tgt - np.add.reduceat(x_fin, seg_off[:-1])
         one = _add_residuals(x_fin, e_lo, e_hi, seg_off, seg_len, r, sel & hit)
         x_out[out_pos] = x_fin  # read in place; live segments write again as they end
@@ -441,7 +538,7 @@ def solve_segments_continuous(
         if not h.all():
             # stuck without a hit: evaluate both bracket ends again
             q = np.repeat(~h, sub_len)
-            _, xl[q], xh[q] = x_ends(sel & ~hit)
+            _, _, xl[q], xh[q] = x_ends(sel & ~hit, lam_lo, lam_hi)
         # a hit fills from its own allocation toward the target: up inside
         # [x_fin, e_hi] when short of it, down inside [e_lo, x_fin] when over
         down = h & (r[sel] < 0)
@@ -485,7 +582,7 @@ def solve_segments_continuous(
                 stats.kernel_steps += it
                 return x_out
             if it >= max_iter:
-                _, xl, xh = x_ends(~done)
+                _, _, xl, xh = x_ends(~done, lam_lo, lam_hi)
                 raise RuntimeError(
                     f"multiplier search left {done.size - n_done} segments open after "
                     f"{it} steps; widest x-gap {float(np.max(xh - xl))} > eps_x {eps_x}"
@@ -494,14 +591,23 @@ def solve_segments_continuous(
                 # retire finished segments and compact the working set
                 finalize(done)
                 keep = ~done
-                _, seg_off, seg_len, (out_pos, e_idx, e_lo, e_hi, x_fin) = _select_segments(
-                    keep, seg_off, out_pos, e_idx, e_lo, e_hi, x_fin
-                )
+                pos, seg_off, seg_len, _ = _select_segments(keep, seg_off)
+                # one array at a time, so each old one is freed before the next
+                # is gathered
+                inv = None
+                out_pos = out_pos[pos]
+                e_idx = e_idx[pos]
+                e_lo = e_lo[pos]
+                e_hi = e_hi[pos]
+                x_fin = x_fin[pos]
+                del pos
                 lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, hit, seg_tgt = (
                     a[keep]
                     for a in (lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, hit, seg_tgt)
                 )
                 done = hit
+                if lam_out is not None:
+                    seg_ids = seg_ids[keep]
                 inv = _inverse_map(obj, e_idx, e_lo, e_hi)
             live = ~done
             scanning, interpolating = False, True
@@ -513,6 +619,19 @@ def solve_segments_continuous(
                 scanning, interpolating = n_scan > 0, n_scan < done.size - n_done
             if interpolating:
                 ok = _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord)
+            if geometric:
+                # a pole family's x(lam) runs over decades inside a bracket
+                # whose ends differ by more than _GEOMETRIC_RATIO, where
+                # neither the midpoint nor regula falsi in lam gets far: the
+                # geometric mean halves such a bracket in log(-lam)
+                wide = (lam_lo < _GEOMETRIC_RATIO * lam_hi) & (lam_hi < 0.0)
+                if wide.any():
+                    np.copyto(lam, -np.sqrt(-lam_lo) * np.sqrt(-lam_hi), where=wide)
+                else:
+                    # the ratio of a bracket's ends only falls as it narrows,
+                    # so the call stops looking (a bracket still reaching 0
+                    # keeps the midpoint)
+                    geometric = False
             if scanning:
                 # the median breakpoint inside the bracket
                 mid = (bp_a + bp_b) // 2

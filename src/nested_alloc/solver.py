@@ -11,6 +11,9 @@ shrink, right half may only grow), and re-solves the merged range as a single
 RAP. It is executed iteratively, deepest level first, so that a million-block
 instance neither recurses a million frames deep nor pays per-subproblem Python
 overhead: all subproblems of one level are disjoint and solved as a batch.
+In continuous mode a level keeps its segments' final multipliers, and each
+merged segment of the level above gets its two children's as probes that may
+bracket its own (`solve_segments_continuous`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .model import (
 )
 from .oracles import count_active_constraints
 from .rap import (
+    _BREAKPOINT_PHASE_ELEMENTS,
     SolveTimeout,
     _concat_ranges,
     solve_segments_continuous,
@@ -151,6 +155,7 @@ def solve(
     cb = inst.lower.copy()
     db = inst.upper.copy()
     x = np.zeros(inst.n)
+    lam = None  # the final multipliers of the last level's segments, or None
 
     for depth in range(len(levels) - 1, -1, -1):
         v, w = levels[depth]
@@ -174,8 +179,22 @@ def solve(
         at = slice(None) if whole else e_idx  # a level over all: box views, x in place
         box_lo, box_hi = cb[at], db[at]
         if inst.mode is Mode.CONTINUOUS:
+            # a merged segment may start from its two children's final
+            # multipliers, which the level below left in `lam`, two per merge
+            probes = None
+            if lam is not None:
+                probes = np.full((v.size, 2), np.nan)
+                probes[merge] = lam.reshape(-1, 2)
+            # only a segment as large as the kernel's gate takes probes, so
+            # multipliers are kept where the next level up holds one
+            lam = None
+            if depth and inst.n >= _BREAKPOINT_PHASE_ELEMENTS:
+                up_v, up_w = levels[depth - 1]
+                if np.max(P[up_w] - P[up_v - 1]) >= _BREAKPOINT_PHASE_ELEMENTS:
+                    lam = np.empty(v.size)
             vals = solve_segments_continuous(
-                inst.objective, e_idx, box_lo, box_hi, offsets, targets, eps_sub, deadline, stats
+                inst.objective, e_idx, box_lo, box_hi, offsets, targets, eps_sub, deadline, stats,
+                probes=probes, lam_out=lam,
             )
         else:
             vals = solve_segments_integer(

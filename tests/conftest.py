@@ -32,6 +32,30 @@ def random_objective(rng: np.random.Generator, family: Family, n: int) -> Object
     raise ValueError(family)
 
 
+class _VectorCustom(ObjectiveSpec):
+    """CUSTOM objective w e^x + x^2 / 2 with its derivative and curvature
+    evaluated as array expressions, so calls of thousands of elements invert
+    f' by bisection quickly; it has no closed-form inverse."""
+
+    def derivative_at(self, idx, x):
+        return self.w[idx] * np.exp(x) + x
+
+    def second_derivative_at(self, idx, x):
+        return self.w[idx] * np.exp(x) + 1.0
+
+
+def vector_custom(rng: np.random.Generator, n: int) -> ObjectiveSpec:
+    w = rng.uniform(0.5, 2.0, n)
+    obj = _VectorCustom(
+        Family.CUSTOM,
+        {},
+        value_fn=lambda i, x: w[i] * np.exp(x) + 0.5 * x * x,
+        derivative_fn=lambda i, x: w[i] * np.exp(x) + x,
+    )
+    object.__setattr__(obj, "w", w)
+    return obj
+
+
 def one_segment(c, d, target, idx=None):
     """Kernel arguments after the objective for a single RAP: one segment over
     the variables `idx` (default 0..len(c)-1), box [c, d], sum `target`."""

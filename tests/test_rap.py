@@ -37,7 +37,7 @@ from nested_alloc.rap import (
     solve_segments_integer,
 )
 
-from conftest import OBJECTIVE_FAMILIES, one_segment, random_objective
+from conftest import OBJECTIVE_FAMILIES, one_segment, random_objective, vector_custom
 
 
 def _clamped_inverse(obj, idx, lam_e, lo, hi):
@@ -1082,35 +1082,53 @@ class _StepCounter(ObjectiveSpec):
         return counted
 
 
-# batch-small's shapes (five families, n = m in {100, 1000}, three seeds) and
-# crashing at n = m = 2e4, whose first feasible draw is seed 1
+# batch-small's shapes (five families, n = m in {100, 1000}, three seeds),
+# crashing at n = m = 2e4, whose first feasible draw is seed 1, and pole-wide
+# crashing and fuelopt calls: a lower bound of 1e-9 in the top levels' large
+# segments puts their cold brackets' lower ends near -1e18
 STEP_SHAPES = [
-    (family, n, seed)
-    for family in ("f", "f-uniform", "f-active", "crashing", "fuelopt")
-    for n in (100, 1000)
-    for seed in range(3)
-] + [("crashing", 20000, 1)]
+    pytest.param(family, n, seed, False, id=f"{family}-{n}-{seed}")
+    for family, n, seed in [
+        (family, n, seed)
+        for family in ("f", "f-uniform", "f-active", "crashing", "fuelopt")
+        for n in (100, 1000)
+        for seed in range(3)
+    ] + [("crashing", 20000, 1)]
+] + [
+    pytest.param(family, 4000, seed, True, id=f"{family}-4000-{seed}-pole-wide")
+    for family, seed in [("crashing", 1), ("fuelopt", 0)]
+]
 
 
-@pytest.mark.parametrize("family,n,seed", STEP_SHAPES)
-def test_steps_within_four_of_bisection(monkeypatch, family, n, seed):
+@pytest.mark.parametrize("family,n,seed,pole_wide", STEP_SHAPES)
+def test_steps_within_four_of_bisection(monkeypatch, family, n, seed, pole_wide):
     """Every kernel call of a full solve takes at most four steps more than
-    the bisection would on the same inputs, and at crashing 2e4 it evaluates
-    strictly fewer elements in total."""
+    the bisection would on the same inputs, and at crashing 2e4 and in the
+    pole-wide solves, where merges start from their children's multipliers
+    and brackets step geometrically, it evaluates strictly fewer elements in
+    total."""
     inst = generate_instance(family, n, n, seed)
+    if pole_wide:
+        inst = dataclasses.replace(inst, lower=np.where(np.arange(n) == 7, 1e-9, inst.lower))
     counter = _StepCounter(inst.objective.family, inst.objective.params)
     object.__setattr__(counter, "calls", [0, 0])
     inst = dataclasses.replace(inst, objective=counter)
     rows = []
+    widest = [0.0]
 
-    def both(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, stats=None):
+    def both(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, stats=None, **kw):
         counter.calls[:] = [0, 0]
         _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x)
         ref = list(counter.calls)
         counter.calls[:] = [0, 0]
-        x = solve_segments_continuous(obj, idx, lo, hi, offsets, targets, eps_x, deadline, stats)
-        if _working_set(idx, lo, hi, offsets, targets)[3].size:
+        x = solve_segments_continuous(
+            obj, idx, lo, hi, offsets, targets, eps_x, deadline, stats, **kw
+        )
+        work = _working_set(idx, lo, hi, offsets, targets)
+        if work[3].size:
             rows.append((ref, list(counter.calls)))
+            if work[3].max() >= rap_module._BREAKPOINT_PHASE_ELEMENTS:
+                widest[0] = max(widest[0], float(np.max(hi[work[1]] / lo[work[1]])))
         return x
 
     monkeypatch.setattr(solver, "solve_segments_continuous", both)
@@ -1119,9 +1137,11 @@ def test_steps_within_four_of_bisection(monkeypatch, family, n, seed):
         # a call with an open segment evaluates both bracket ends at least
         assert calls >= 2 and elems > 0 and ref_calls >= 2 and ref_elems > 0
         assert calls <= ref_calls + 4
-    if n == 20000:
-        assert rows, "the crashing draw must be feasible"
+    if n >= 4000:
+        assert rows, "the draw must be feasible"
         assert sum(new[1] for _, new in rows) < sum(ref[1] for ref, _ in rows)
+    if pole_wide:
+        assert widest[0] > 1e8  # a large call's box reaches down to 1e-9
 
 
 # -- the working set: point boxes and closed segments leave before the search
@@ -1320,7 +1340,8 @@ def test_add_residuals_cases(up):
 def test_one_call_mixes_repair_routes(monkeypatch, large):
     """A call whose hit segments go some through the one add and some through
     the general fill gives the answer of a call that fills them all: every
-    other segment is kept from the one add by a wrapper."""
+    other segment is kept from the one add by a wrapper. Every finalize of
+    two or more hit segments takes both routes."""
     rng = np.random.Generator(np.random.PCG64(310 + large))
     lengths = np.array(MIXED_LENGTHS * (6 if large else 1))
     c, d, targets = _random_boxes(rng, lengths)
@@ -1332,10 +1353,11 @@ def test_one_call_mixes_repair_routes(monkeypatch, large):
     routes = []
 
     def every_other(x, lo, hi, offsets, lengths, resid, which):
+        hits = which
         which = which.copy()
         which[1::2] = False
         one = add(x, lo, hi, offsets, lengths, resid, which)
-        routes.append((int(one.sum()), int((~one).sum())))
+        routes.append((int(hits.sum()), int(one.sum()), int((hits & ~one).sum())))
         return one
 
     def none(x, lo, hi, offsets, lengths, resid, which):
@@ -1350,7 +1372,10 @@ def test_one_call_mixes_repair_routes(monkeypatch, large):
         outs.append(solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9, stats=stats))
         assert (stats.kernel_steps, stats.kernel_evals) == (base_stats.kernel_steps,
                                                             base_stats.kernel_evals)
-    assert all(a > 0 and b > 0 for a, b in routes)
+    # a finalize of one hit segment (geometric steps end a large call's
+    # segments at different steps) can take only one route
+    mixed = [(a, b) for hits, a, b in routes if hits >= 2]
+    assert mixed and all(a > 0 and b > 0 for a, b in mixed)
     tol = 4 * np.finfo(float).eps * np.maximum(np.abs(base), 1.0)
     for x in outs:
         assert np.all(np.abs(x - base) <= tol)
@@ -1392,3 +1417,85 @@ def test_breakpoint_sort_matches_lexsort(seed):
     assert ref[0].size > seg_len.size  # several breakpoints per segment, ties dropped
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
+
+
+# -- warm brackets: probes from a merged segment's children ----------------
+
+
+WARM_FAMILIES = OBJECTIVE_FAMILIES + [Family.CUSTOM]
+
+
+def _warm_call(obj, c, d, lengths, targets, probes=None, eps_x=1e-9):
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    lam, stats = np.empty(len(lengths)), SolveStats()
+    x = solve_segments_continuous(
+        obj, np.arange(c.size), c, d, offsets, targets, eps_x, stats=stats,
+        probes=probes, lam_out=lam,
+    )
+    rounding = 8 * np.finfo(float).eps * np.add.reduceat(np.abs(x), offsets[:-1])
+    assert np.all(np.abs(np.add.reduceat(x, offsets[:-1]) - targets) <= rounding)
+    assert np.all((x >= c) & (x <= d))
+    return x, lam, stats
+
+
+@pytest.mark.parametrize("family", WARM_FAMILIES)
+def test_probes_agree_with_the_cold_search(monkeypatch, family):
+    """Straddling probes (given in either order), one-sided probes, probes
+    with a NaN, a probe that hits its target exactly and probes outside the
+    cold bracket: every coordinate lies within eps_x of the same call without
+    probes, and every sum equals its target. Segments below the gate ignore
+    their probes. `lam_out` holds each open segment's final multiplier and
+    NaN for a closed segment. A call whose every segment starts from tight
+    straddling probes evaluates fewer elements than without them."""
+    rng = np.random.Generator(np.random.PCG64(400 + WARM_FAMILIES.index(family)))
+    lengths = [2500, 3000, 2200, 2400, 2600, 40, 7, 2100]
+    c, d, targets = _random_boxes(rng, lengths)
+    obj = (vector_custom(rng, c.size) if family is Family.CUSTOM
+           else random_objective(rng, family, c.size))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    seg = [slice(offsets[k], offsets[k + 1]) for k in range(len(lengths))]
+    # an exact hit: segment 3's target is sum(x) at a multiplier inside its
+    # cold bracket
+    k3 = np.arange(offsets[3], offsets[4])
+    lam_hit = float(np.median(obj.derivative_at(k3, 0.5 * (c[k3] + d[k3]))))
+    targets[3] = np.add.reduce(_clamped_inverse(obj, k3, np.full(k3.size, lam_hit), c[k3], d[k3]))
+    targets[7] = d[seg[7]].sum()  # closed at its box sum
+    x0, lam0, _ = _warm_call(obj, c, d, lengths, targets)
+    assert np.isnan(lam0[7]) and np.isfinite(lam0[:7]).all()
+
+    def near(k, rel):
+        return abs(lam0[k]) * rel + rel
+
+    k4 = np.arange(offsets[4], offsets[5])
+    lo4, hi4 = obj.derivative_at(k4, c[k4]).min(), obj.derivative_at(k4, d[k4]).max()
+    probes = np.full((len(lengths), 2), np.nan)
+    probes[0] = lam0[0] + near(0, 1e-3), lam0[0] - near(0, 1e-3)  # straddle, reversed
+    probes[1] = lam0[1] + near(1, 1e-3), lam0[1] + near(1, 2e-3)  # both above the root
+    probes[2] = np.nan, lam0[2]
+    probes[3] = lam_hit, lam_hit + near(3, 1e-2)
+    probes[4] = lo4 - abs(lo4) - 1.0, hi4 + abs(hi4) + 1.0  # outside the cold bracket
+    probes[5] = probes[6] = lam0[5] - 1.0, lam0[5] + 1.0  # below the gate
+    probes[7] = -1.0, 1.0
+    bracket = rap_module._bracket_segments
+    cold_segments = []
+
+    def record(obj, idx, lo, hi, offsets, targets, stats=None):
+        cold_segments.append(targets.size)
+        return bracket(obj, idx, lo, hi, offsets, targets, stats)
+
+    monkeypatch.setattr(rap_module, "_bracket_segments", record)
+    x, lam, _ = _warm_call(obj, c, d, lengths, targets, probes)
+    # one-sided, NaN and below the gate take the cold bracket
+    assert cold_segments == [4]
+    assert np.all(np.abs(x - x0) <= 1e-9)
+    assert np.isnan(lam[7]) and np.isfinite(lam[:7]).all()
+    assert lam[3] == lam_hit  # a probe that hits is the segment's bracket
+
+    # the first two segments alone, both straddled: the search starts from
+    # the probes alone
+    two = slice(0, offsets[2])
+    tight = np.array([[lam0[k] - near(k, 1e-6), lam0[k] + near(k, 1e-6)] for k in (0, 1)])
+    _, _, alone = _warm_call(obj, c[two], d[two], lengths[:2], targets[:2])
+    xw, _, warm = _warm_call(obj, c[two], d[two], lengths[:2], targets[:2], tight)
+    assert np.all(np.abs(xw - x0[two]) <= 1e-9)
+    assert warm.kernel_evals < alone.kernel_evals

@@ -19,17 +19,20 @@ from nested_alloc import (
     greedy_solve,
     lifted_crashing_instance,
     hull_solve_instance,
+    kkt_tolerance,
     solve,
     tighten,
+    verify_kkt,
 )
 
 from nested_alloc import rap as rap_module
 from nested_alloc import solver as solver_mod
 from nested_alloc.cli import _scaled_integer_instance
+from nested_alloc.hull import HullEligibilityError, HullNotApplicableError
 from nested_alloc.model import objective_value, prefix_sums
 from nested_alloc.rap import solve_segments_continuous
 
-from conftest import one_segment, small_integer_instance
+from conftest import one_segment, small_integer_instance, vector_custom
 
 
 def quad_spec(n, w=1.0):
@@ -320,22 +323,35 @@ class _EvalCounter(ObjectiveSpec):
         return super().value_at(idx, x)
 
 
-@pytest.mark.parametrize("mode", ["cont", "cont-pole", "int"])
+def _segments_taking_probes(idx, lo, hi, offsets, targets, probes):
+    """The segments of a continuous kernel call that take their probes: open,
+    with at least the gate's movable elements, and both probes finite."""
+    _, out_pos, seg_off, seg_len = rap_module._working_set(idx, lo, hi, offsets, targets)[:4]
+    seg = np.searchsorted(offsets, out_pos[seg_off[:-1]], side="right") - 1
+    large = seg_len >= rap_module._BREAKPOINT_PHASE_ELEMENTS
+    return int(np.count_nonzero(large & np.isfinite(probes[seg]).all(axis=1)))
+
+
+@pytest.mark.parametrize("mode", ["cont", "cont-pole", "cont-warm", "int"])
 def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
     """`SolveStats.kernel_steps` and `kernel_evals` equal what a counting
-    objective sees inside the kernels. Steps: map calls less the one call
-    that evaluates the bracket ends of a continuous call holding a bracket
-    through an interior point, or one map call per step (integer).
+    objective sees inside the kernels. Steps: map calls less the two calls
+    that evaluate the bracket ends of a continuous call holding a bracket
+    through an interior point and the two that evaluate the probes of a call
+    holding a segment that takes them, or one map call per step (integer).
     Evaluations: map plus derivative elements (continuous), or map elements
     plus unit marginals (integer), where a value-map call of r rows prices
     r - 1 marginals per column, so its values are the marginals plus its
     columns. In "cont-pole" every other lower bound sits at the pole, so
-    brackets pass through an interior point."""
+    brackets pass through an interior point; in "cont-warm" merges of at
+    least 2000 movable elements start from their children's multipliers."""
     inst = generate_instance("crashing", 300, 300, 4)
     if mode == "int":
         inst = _scaled_integer_instance(inst, 1e6)
     if mode == "cont-pole":
         inst = dataclasses.replace(inst, lower=np.where(np.arange(inst.n) % 2, inst.lower, 0.0))
+    if mode == "cont-warm":
+        inst = generate_instance("f-uniform", 8000, 8, 0)
     counter = _EvalCounter(inst.objective.family, inst.objective.params)
     object.__setattr__(counter, "on", [False])
     kinds = ("inverse_calls", "inverse", "derivative", "value", "value_cols", "value_at")
@@ -343,18 +359,24 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
     inst = dataclasses.replace(inst, objective=counter)
     open_calls = [0]
     end_calls = [0]
+    probe_calls = [0]
 
     def counting(kernel):
-        def wrapped(obj, idx, lo, hi, offsets, targets, *args):
+        def wrapped(obj, idx, lo, hi, offsets, targets, *args, **kwargs):
             work = rap_module._working_set(idx, lo, hi, offsets, targets)
             _, _, seg_off, seg_len, e_idx, e_lo, e_hi, seg_tgt = work
             open_calls[0] += bool(seg_len.size)
             if seg_len.size and kernel is solve_segments_continuous:
                 bad = rap_module._bracket_segments(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)[2]
                 end_calls[0] += bool(bad.any())
+                probes = kwargs.get("probes")
+                if probes is not None:
+                    probe_calls[0] += bool(
+                        _segments_taking_probes(idx, lo, hi, offsets, targets, probes)
+                    )
             counter.on[0] = True
             try:
-                return kernel(obj, idx, lo, hi, offsets, targets, *args)
+                return kernel(obj, idx, lo, hi, offsets, targets, *args, **kwargs)
             finally:
                 counter.on[0] = False
 
@@ -369,7 +391,9 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
     if mode != "int":
         assert counts["value"] == 0
         assert (end_calls[0] > 0) == (mode == "cont-pole") and end_calls[0] <= open_calls[0]
-        assert stats.kernel_steps == counts["inverse_calls"] - end_calls[0] > 0
+        assert (probe_calls[0] > 0) == (mode == "cont-warm")
+        calls = counts["inverse_calls"] - 2 * (end_calls[0] + probe_calls[0])
+        assert stats.kernel_steps == calls > 0
         assert stats.kernel_evals == counts["inverse"] + counts["derivative"]
         assert counts["inverse"] > counts["derivative"] > 0
     else:
@@ -378,6 +402,60 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
         marginals = stats.kernel_evals - counts["inverse"]
         assert counts["value"] == marginals + counts["value_cols"]
         assert counts["value"] > counts["inverse"] > 0
+
+
+def _warm_instance(family: str) -> NestedInstance:
+    """n = 8000 in m = 8 blocks of 1000, so merged segments hold 2000 to 8000
+    variables: the first feasible generator draw, a quadratic or CUSTOM
+    objective on random blocks, or the hull-eligible lifted crashing chain."""
+    n, m = 8000, 8
+    if family == "lifted":
+        return lifted_crashing_instance(n, 0)
+    if family not in ("quadratic", "custom"):
+        return generate_instance(family, n, m, 0)
+    rng = np.random.Generator(np.random.PCG64(500))
+    obj = (vector_custom(rng, n) if family == "custom" else ObjectiveSpec(
+        Family.QUADRATIC, {"w": rng.uniform(0.5, 2.0, n), "t": rng.uniform(-1.0, 2.0, n)}))
+    cum = np.cumsum(rng.uniform(0.2, 1.5, n))
+    s = np.arange(1, m + 1) * (n // m)
+    return NestedInstance(
+        n=n, m=m, s=s, a=cum[s[:-1] - 1], B=float(cum[-1]), lower=np.zeros(n),
+        upper=np.full(n, 2.0), objective=obj, mode=Mode.CONTINUOUS,
+    )
+
+
+@pytest.mark.parametrize(
+    "family", ["f", "f-uniform", "f-active", "crashing", "fuelopt", "quadratic", "custom", "lifted"]
+)
+def test_warm_merges_match_cold_merges(monkeypatch, family):
+    """Merged segments of at least 2000 movable elements start from their
+    children's multipliers. The solve passes `verify_kkt`, matches the hull
+    where the hull applies, and lies within eps of the same solve with every
+    probe dropped."""
+    inst = _warm_instance(family)
+    eps = 1e-8
+    sol, _ = solve(inst, eps)
+    assert sol.status is Status.OPTIMAL
+    assert verify_kkt(inst, sol, kkt_tolerance(inst, sol.x, eps)).passed
+    try:
+        hull = hull_solve_instance(inst)
+    except (HullEligibilityError, HullNotApplicableError):
+        assert family != "lifted"
+    else:
+        assert np.max(np.abs(sol.x - hull.x)) <= 2 * eps
+
+    kernel = solver_mod.solve_segments_continuous
+    warm = [0]
+
+    def cold(obj, idx, lo, hi, offsets, targets, *args, probes=None, lam_out=None):
+        if probes is not None:
+            warm[0] += _segments_taking_probes(idx, lo, hi, offsets, targets, probes)
+        return kernel(obj, idx, lo, hi, offsets, targets, *args)
+
+    monkeypatch.setattr(solver_mod, "solve_segments_continuous", cold)
+    ref, _ = solve(inst, eps)
+    assert warm[0] > 0
+    assert np.max(np.abs(sol.x - ref.x)) <= eps
 
 
 class TestUnboundedBoxes:
