@@ -21,6 +21,14 @@ the benchmark's accuracy `workloads.EPS` and the integer instances whose
 `x` is not equal, the kernel counters summed per side and two sha256 per
 side over every `x` of every instance: of the bytes as they are, and with
 -0.0 read as 0.0. `--json PATH` also writes every row and summary there.
+
+Memory, per instance and side: the traced peak of one extra, untimed solve
+under `tracemalloc` (what the solve allocates beyond the instance), in MiB
+and in n-sized float64 arrays, and the minor page faults (`ru_minflt`) and
+system CPU seconds (`ru_stime`) around each timed solve, summed over the
+repetitions. Both sides share one process, so its peak RSS cannot be split
+between them; the per-workload summary sums faults and system time per side
+and gives each side's largest traced peak in n-sized arrays.
 """
 
 import argparse
@@ -28,12 +36,14 @@ import hashlib
 import importlib.util
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -82,9 +92,29 @@ def as_base(inst, model):
 
 
 def timed_solve(solve, inst, eps):
+    """Wall seconds, minor page faults and system CPU seconds of one solve,
+    then its solution and statistics."""
+    ru = resource.getrusage(resource.RUSAGE_SELF)
     t = time.perf_counter()
     sol, stats = solve(inst, eps)
-    return time.perf_counter() - t, sol, stats
+    t = time.perf_counter() - t
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return t, after.ru_minflt - ru.ru_minflt, after.ru_stime - ru.ru_stime, sol, stats
+
+
+def traced_peak(solve, inst, eps) -> int:
+    """Bytes one solve holds at its traced peak beyond what was held before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    try:
+        solve(inst, eps)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def max_move(bx, cx) -> float:
@@ -102,17 +132,32 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
     rows, ratios, won, zeros_total = [], [], 0, 0
     steps = {side: 0 for side in sides}
     evals = {side: 0 for side in sides}
+    faults = {side: 0 for side in sides}
+    sys_s = {side: 0.0 for side in sides}
+    peaks = {side: 0.0 for side in sides}
     print(f"== {workload} seeds {' '.join(map(str, seeds))}")
-    print(f"{'instance':<28} {'base_s':>9} {'change_s':>9} {'ratio':>7} {'max_dx':>9}  same")
+    print(f"{'instance':<28} {'base_s':>9} {'change_s':>9} {'ratio':>7} {'max_dx':>9} "
+          f"{'peak_b':>7} {'peak_c':>7} {'kflt_b':>7} {'kflt_c':>7}  same")
     for seed in seeds:
         for item in workloads.build(workload, seed).items:
             insts = {"base": as_base(item.inst, base_model), "change": item.inst}
             times = {side: [] for side in sides}
+            row_faults = {side: 0 for side in sides}
+            row_sys = {side: 0.0 for side in sides}
             last = {}
             for _ in range(reps):
                 for side in ("base", "change", "change", "base"):
-                    t, *last[side] = timed_solve(sides[side], insts[side], item.eps)
+                    t, flt, st, *last[side] = timed_solve(sides[side], insts[side], item.eps)
                     times[side].append(t)
+                    row_faults[side] += flt
+                    row_sys[side] += st
+            # in n-sized float64 arrays
+            peak = {side: traced_peak(sides[side], insts[side], item.eps) for side in sides}
+            arrays = {side: peak[side] / (8.0 * item.n) for side in sides}
+            for side in sides:
+                faults[side] += row_faults[side]
+                sys_s[side] += row_sys[side]
+                peaks[side] = max(peaks[side], arrays[side])
             (bsol, bstats), (csol, cstats) = last["base"], last["change"]
             for side, (sol, st) in last.items():
                 steps[side] += st.kernel_steps
@@ -144,13 +189,19 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
             flags = "yes" if same else f"NO x={same_x} obj={same_obj} counts={same_counts}"
             if signed_zeros:
                 flags += f" ({signed_zeros} zeros of opposite sign)"
-            print(f"{label:<28} {tb:9.4f} {tc:9.4f} {tc / tb:7.3f} {dx:9.2e}  {flags}"
+            print(f"{label:<28} {tb:9.4f} {tc:9.4f} {tc / tb:7.3f} {dx:9.2e} "
+                  f"{arrays['base']:7.2f} {arrays['change']:7.2f} "
+                  f"{row_faults['base'] / 1e3:7.1f} {row_faults['change'] / 1e3:7.1f}  {flags}"
                   f"  steps={cstats.kernel_steps} evals={cstats.kernel_evals}")
             rows.append({
                 **item.describe(), "base_s": round(tb, 5), "change_s": round(tc, 5),
                 "max_dx": float(f"{dx:.3g}"), "same": same, "same_x": same_x,
                 "steps": [bstats.kernel_steps, cstats.kernel_steps],
                 "evals": [bstats.kernel_evals, cstats.kernel_evals],
+                "peak_mib": [round(peak[side] / 2**20, 3) for side in sides],
+                "peak_arrays": [round(arrays[side], 4) for side in sides],
+                "minflt": [row_faults[side] for side in sides],
+                "sys_s": [round(row_sys[side], 4) for side in sides],
             })
     summary = {
         "won": won,
@@ -163,6 +214,9 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
         "signed_zeros": zeros_total,
         "kernel_steps": steps,
         "kernel_evals": evals,
+        "minflt": faults,
+        "sys_s": {side: round(sys_s[side], 4) for side in sides},
+        "peak_arrays_max": {side: round(peaks[side], 4) for side in sides},
         "sha256": {side: digest[side].hexdigest() for side in sides},
         "sha256_zeros_unsigned": {side: unsigned[side].hexdigest() for side in sides},
     }
@@ -175,6 +229,8 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
     for side in sides:
         print(f"{side:<6} sha256 {digest[side].hexdigest()} "
               f"kernel_steps {steps[side]} kernel_evals {evals[side]}")
+        print(f"{side:<6} minor faults {faults[side]} system {sys_s[side]:.3f} s, largest "
+              f"traced peak {peaks[side]:.2f} n-sized arrays")
         print(f"{side:<6} sha256 with zeros unsigned {unsigned[side].hexdigest()}")
     return {"workload": workload, "seeds": seeds, "rows": rows, "summary": summary}
 

@@ -175,8 +175,16 @@ class ObjectiveSpec:
             if fam is Family.CRASHING:
                 return -self.params["p"][idx] / x**2
             if fam is Family.FUELOPT:
-                p, c = self.params["p"][idx], self.params["c"][idx]
-                return -3.0 * p * np.square(np.square(c)) / np.square(np.square(x))
+                # -3 p c^4 / x^4, left to right, in the gathered copies
+                p, c = np.take(self.params["p"], idx), np.take(self.params["c"], idx)
+                c *= c
+                c *= c
+                p *= -3.0
+                p *= c
+                del c
+                x4 = x * x
+                x4 *= x4
+                return p / x4
             if fam is Family.QUADRATIC:
                 w, t = self.params["w"][idx], self.params["t"][idx]
                 return 2.0 * w * (x - t)
@@ -260,7 +268,12 @@ class ObjectiveSpec:
             return None
         if fam is Family.F:
             p = self.params["p"][idx]
-            return lambda lam, seg_len=None, k=None: np.cbrt(_at(lam, seg_len) - _pick(p, k))
+
+            def inv(lam, seg_len=None, k=None):
+                x = _at(lam, seg_len) - _pick(p, k)
+                return np.cbrt(x, out=x)
+
+            return inv
         if fam is Family.QUADRATIC:
             t = self.params["t"][idx]
             two_w = 2.0 * self.params["w"][idx]

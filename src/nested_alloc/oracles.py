@@ -208,22 +208,22 @@ def verify_kkt(inst: NestedInstance, sol: Solution, tau: float) -> KktReport:
     slacks = inst.a - y[: inst.m - 1]
     sum_gap = float(abs(y[-1] - inst.B))
     feas_tol = 1e-9 * (1.0 + abs(inst.B))
+    # each box end widened or narrowed by bound_tol once, in one buffer, and
+    # reduced before the next is built
+    end = inst.lower - bound_tol
+    in_box = bool(np.all(x >= end))
+    at_lo = x <= np.add(inst.lower, bound_tol, out=end)
+    in_box &= bool(np.all(x <= np.add(inst.upper, bound_tol, out=end)))
+    at_hi = x >= np.subtract(inst.upper, bound_tol, out=end)
+    del end, bound_tol
     feasible = (
         sum_gap <= max(feas_tol, y_tol)
         and bool(np.all(slacks >= -max(feas_tol, y_tol)))
-        and bool(np.all(x >= inst.lower - bound_tol))
-        and bool(np.all(x <= inst.upper + bound_tol))
+        and in_box
     )
 
     g = inst.objective.derivative_at(np.arange(inst.n), x)
-    at_lo = x <= inst.lower + bound_tol
-    at_hi = x >= inst.upper - bound_tol
     free = ~at_lo & ~at_hi
-
-    # multiplier range visible through each variable: free pins it, an active
-    # bound leaves one side open
-    lam_min = np.where(at_lo, -np.inf, g)  # lam >= lam_min
-    lam_max = np.where(at_hi, np.inf, g)  # lam <= lam_max
 
     # one pass over the adjacent pairs (j, j+1), indexed by the left j
     left = inst.s[: inst.m - 1] - 1  # 0-based left index of each interior breakpoint
@@ -232,13 +232,22 @@ def verify_kkt(inst: NestedInstance, sol: Solution, tau: float) -> KktReport:
     active = np.zeros(inst.n - 1, dtype=bool)
     active[left] = slacks <= y_tol
     both_free = free[:-1] & free[1:]
+    del free
     # inf - inf at poles gives NaN: a NaN gap is never counted, a NaN side
     # never violates
     with np.errstate(invalid="ignore"):
+        # multiplier range visible through each variable: free pins it, an
+        # active bound leaves one side open
+        lam_min = np.where(at_lo, -np.inf, g)  # lam >= lam_min
+        lam_max = np.where(at_hi, np.inf, g)  # lam <= lam_max
+        del at_lo, at_hi
         # v1: the left multiplier exceeds the right one; v2: the right the left
         v1 = lam_min[:-1] > lam_max[1:] + tau
         v2 = lam_min[1:] > lam_max[:-1] + tau
-        gap = np.abs(g[:-1] - g[1:])
+        del lam_min, lam_max
+        gap = np.subtract(g[:-1], g[1:])
+        del g
+        np.abs(gap, out=gap)
 
     # across a breakpoint the left multiplier may never exceed the right one;
     # a tight bound allows an upward jump, an inactive one pins both sides
@@ -247,7 +256,8 @@ def verify_kkt(inst: NestedInstance, sol: Solution, tau: float) -> KktReport:
     # the one-sided inequality its bound multiplier allows
     box_bad = ~is_boundary & np.where(both_free, gap > tau, v1 | v2)
     counted = both_free & (~is_boundary | ~(v1 | active))
-    max_gap = float(gap[counted & ~np.isnan(gap)].max(initial=0.0))
+    counted &= ~np.isnan(gap)
+    max_gap = float(np.max(gap, where=counted, initial=0.0))
     boundary_violations = (np.flatnonzero(boundary_bad) + 1).tolist()  # 1-based s[i]
     box_violations = (np.flatnonzero(box_bad) + 1).tolist()
 

@@ -29,6 +29,11 @@ segment skips the cold bracket's two derivatives per element; a probe whose
 excess is within eps/2 is a hit and ends the segment. Every other segment,
 one whose probes both lie on one side of the root included, takes the cold
 bracket: a lone probe as one bracket end raised step counts severalfold.
+Segments known to be cold (no probes, a NaN probe, fewer movable elements
+than the gate) take it before the map gathers its constants and before any
+probe is evaluated, one box end's derivatives reduced before the other's are
+evaluated, so the bracket's temporaries meet neither; only segments whose
+probes miss take it next to the probes' allocation.
 
 Each step evaluates x at one multiplier per segment and keeps only
 per-segment state, in one loop for every call:
@@ -194,8 +199,10 @@ def _add_residuals(x, lo, hi, offsets, lengths, resid, which):
     k = offsets[:-1]
     if not (np.where(down, x[k] > lo[k], x[k] < hi[k]) | ~which).all():
         # some segment starts at its bound: find each one's first room
-        pos = np.flatnonzero(np.where(np.repeat(down, lengths), x > lo, x < hi))
-        k = np.minimum(np.append(pos, x.size)[np.searchsorted(pos, k)], offsets[1:] - 1)
+        # a flag past the end stands for segments without room
+        has_room = np.append(np.where(np.repeat(down, lengths), x > lo, x < hi), True)
+        pos = np.flatnonzero(has_room)
+        k = np.minimum(pos[np.searchsorted(pos, k)], offsets[1:] - 1)
     room = np.where(down, x[k] - lo[k], hi[k] - x[k])  # 0 where a segment has none
     one = which & (room >= np.abs(resid))
     x[k[one]] += resid[one]
@@ -224,21 +231,40 @@ def _bisect_inverse(obj, idx, lam_e, lo, hi):
     return a
 
 
-def _bracket_segments(obj, idx, lo, hi, offsets, targets, stats=None):
-    """Each segment's multiplier bracket; every element is movable (hi > lo)."""
+def _bracket_segments(
+    obj, idx, lo, hi, offsets, targets, stats=None, breakpoints=False, where=None
+):
+    """Each segment's multiplier bracket; every element is movable (hi > lo).
+
+    Returns lam_lo, lam_hi, where an end was not finite, and the derivatives
+    at the box ends per element, d_lo and d_hi, which only the breakpoint
+    phase reads and which are None without `breakpoints`: one end is reduced
+    before the other is evaluated, so then one end's derivatives are held at
+    a time. Given per-element flags `where`, only the flagged elements are
+    bracketed, `offsets` and `targets` describing the segments they form,
+    and each box end is gathered when it is evaluated.
+    """
     stats = SolveStats() if stats is None else stats
     starts = offsets[:-1]
+    if where is not None:
+        idx = idx[where]
     stats.kernel_evals += 2 * idx.size
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_lo = obj.derivative_at(idx, lo)
-        d_hi = obj.derivative_at(idx, hi)
-    lam_lo = np.minimum.reduceat(d_lo, starts)
-    lam_hi = np.maximum.reduceat(d_hi, starts)
+        d_lo = obj.derivative_at(idx, lo if where is None else lo[where])
+        lam_lo = np.minimum.reduceat(d_lo, starts)
+        if not breakpoints:
+            d_lo = None
+        d_hi = obj.derivative_at(idx, hi if where is None else hi[where])
+        lam_hi = np.maximum.reduceat(d_hi, starts)
+        if not breakpoints:
+            d_hi = None
     bad = ~np.isfinite(lam_lo) | ~np.isfinite(lam_hi)
     if np.any(bad):
         # pole or unbounded box at a bracket end: pass the bracket through a
         # strictly interior feasible point instead (room capped by the
         # residual keeps the arithmetic finite under infinite upper bounds)
+        if where is not None:
+            lo, hi = lo[where], hi[where]
         lengths = np.diff(offsets)
         resid = targets - np.add.reduceat(lo, starts)
         room = np.minimum(hi - lo, np.repeat(np.maximum(resid, 0.0), lengths))
@@ -291,8 +317,11 @@ def _working_set(idx, lo, hi, offsets, targets):
     n_mov = np.add.reduceat(movable, starts)
     at_lo = targets <= np.add.reduceat(lo, starts)
     at_hi = ~at_lo & (targets >= np.add.reduceat(hi, starts))
-    x_out = np.where(np.repeat(at_hi, lengths), hi, lo)
-    tgt = targets - np.add.reduceat(np.where(movable, 0.0, lo), starts)
+    # the point-box mass, summed in the buffer that then becomes x_out
+    x_out = np.where(movable, 0.0, lo)
+    tgt = targets - np.add.reduceat(x_out, starts)
+    np.copyto(x_out, lo)
+    np.copyto(x_out, hi, where=np.repeat(at_hi, lengths))
     open_seg = ~(at_lo | at_hi)
     one = open_seg & (n_mov == 1)
     if one.any():
@@ -400,7 +429,10 @@ def solve_segments_continuous(
     if stats is None:
         stats = SolveStats()
     small = e_idx.size < _BREAKPOINT_PHASE_ELEMENTS
-    inv = _inverse_map(obj, e_idx, e_lo, e_hi)
+    if not small and np.array_equal(e_idx, out_pos):
+        # idx is the identity here (a level over every variable): positions
+        # are variable indices, and one array serves as both
+        e_idx = out_pos
     coord = obj.multiplier_coordinate() if small else None
     geometric = not small and obj.multiplier_coordinate() is not None
     probes = None if small else probes
@@ -447,10 +479,28 @@ def solve_segments_continuous(
 
     def warm_start():
         """Brackets from the probes where they straddle or hit, the cold
-        bracket elsewhere; writes the probes' excess into f_lo and f_hi and
-        returns the brackets, the bad flags, x_fin and where x(lam_hi) is
-        e_hi."""
+        bracket elsewhere; builds the map, writes the probes' excess into f_lo
+        and f_hi and returns the brackets, the bad flags, x_fin and where
+        x(lam_hi) is e_hi."""
+        nonlocal inv
         lam_lo, lam_hi = np.empty(seg_tgt.size), np.empty(seg_tgt.size)
+        bad = np.zeros(seg_tgt.size, dtype=bool)
+
+        def cold_bracket(sel):
+            where, c_off = None, seg_off  # every segment: nothing to gather
+            if not sel.all():
+                where = np.repeat(sel, seg_len)
+                c_off = np.concatenate([[0], np.cumsum(seg_len[sel])])
+            lam_lo[sel], lam_hi[sel], bad[sel] = _bracket_segments(
+                obj, e_idx, e_lo, e_hi, c_off, seg_tgt[sel], stats, where=where
+            )[:3]
+
+        # segments known to be cold take their bracket before the map gathers
+        # its constants and before any probe is evaluated, so the bracket's
+        # gathers and derivatives meet neither
+        if not warm.all():
+            cold_bracket(~warm)
+        inv = _inverse_map(obj, e_idx, e_lo, e_hi)
         pos, w_off, xa, xb = x_ends(warm, p_lo, p_hi)
         fa = np.add.reduceat(xa, w_off[:-1]) - seg_tgt[warm]
         fb = np.add.reduceat(xb, w_off[:-1]) - seg_tgt[warm]
@@ -458,8 +508,6 @@ def solve_segments_continuous(
         # a lone probe is no bracket end: probes that neither straddle the
         # target nor hit it leave their segment to the cold bracket
         took = ((fa <= 0.0) & (fb >= 0.0)) | hit_a | hit_b
-        cold = np.ones(seg_tgt.size, dtype=bool)
-        cold[warm] = ~took
         # a probe that hits is the segment's whole bracket
         lam_lo[warm] = np.where(hit_b, p_hi[warm], p_lo[warm])
         lam_hi[warm] = np.where(hit_a & ~hit_b, p_lo[warm], p_hi[warm])
@@ -467,21 +515,15 @@ def solve_segments_continuous(
         f_hi[warm] = np.where(took, fb, f_hi[warm])
         np.copyto(xa, xb, where=np.repeat(hit_b, np.diff(w_off)))
         del xb
+        missed = warm.copy()
+        missed[warm] = ~took
+        cold = missed | ~warm
         if not cold.any():
             # every segment starts from its probes: none is bad, and x_fin is
             # the probes' allocation
-            return lam_lo, lam_hi, cold, xa, cold
-        if cold.all():
-            lam_lo, lam_hi, bad = _bracket_segments(
-                obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats
-            )[:3]
-        else:
-            bad = np.zeros(seg_tgt.size, dtype=bool)
-            _, c_off, _, sub = _select_segments(cold, seg_off, e_idx, e_lo, e_hi)
-            lam_lo[cold], lam_hi[cold], bad[cold] = _bracket_segments(
-                obj, *sub, c_off, seg_tgt[cold], stats
-            )[:3]
-            del sub
+            return lam_lo, lam_hi, bad, xa, cold
+        if missed.any():
+            cold_bracket(missed)
         # allocated after the cold bracket, whose temporaries then meet only
         # the probes' allocation
         x_fin = e_lo.copy()
@@ -489,13 +531,17 @@ def solve_segments_continuous(
         x_fin[np.flatnonzero(q) if isinstance(pos, slice) else pos[q]] = xa[q]
         return lam_lo, lam_hi, bad, x_fin, cold & ~bad
 
+    inv = None
     if warm is None:
         lam_lo, lam_hi, bad, d_lo, d_hi = _bracket_segments(
-            obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats
+            obj, e_idx, e_lo, e_hi, seg_off, seg_tgt, stats, breakpoints=small
         )
         if small:
             bp, bp_a, bp_b = _interior_breakpoints(d_lo, d_hi, lam_lo, lam_hi, seg_len)
         del d_lo, d_hi  # the loop keeps no per-element state but x_fin
+        # built after the bracket, whose derivatives then do not meet the
+        # constants it gathers
+        inv = _inverse_map(obj, e_idx, e_lo, e_hi)
         x_fin = e_lo.copy()
         box_top = ~bad
     else:
@@ -591,16 +637,19 @@ def solve_segments_continuous(
                 # retire finished segments and compact the working set
                 finalize(done)
                 keep = ~done
-                pos, seg_off, seg_len, _ = _select_segments(keep, seg_off)
-                # one array at a time, so each old one is freed before the next
-                # is gathered
+                q = np.repeat(keep, seg_len)
+                seg_len = seg_len[keep]
+                seg_off = np.concatenate([[0], np.cumsum(seg_len)])
+                # through a mask, one array at a time, so each old one is freed
+                # before the next is gathered
                 inv = None
-                out_pos = out_pos[pos]
-                e_idx = e_idx[pos]
-                e_lo = e_lo[pos]
-                e_hi = e_hi[pos]
-                x_fin = x_fin[pos]
-                del pos
+                shared = e_idx is out_pos
+                out_pos = out_pos[q]
+                e_idx = out_pos if shared else e_idx[q]
+                e_lo = e_lo[q]
+                e_hi = e_hi[q]
+                x_fin = x_fin[q]
+                del q
                 lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, hit, seg_tgt = (
                     a[keep]
                     for a in (lam, lam_lo, lam_hi, f_lo, f_hi, max_width, last_hi, hit, seg_tgt)
@@ -660,6 +709,7 @@ def solve_segments_continuous(
             if near.any():
                 np.copyto(x_fin, xm, where=np.repeat(near, seg_len))
                 hit |= near
+            del xm  # freed before the next step allocates its own
             it += 1
             if it % 8 == 0:
                 _check_deadline(deadline)

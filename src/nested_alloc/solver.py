@@ -14,6 +14,11 @@ overhead: all subproblems of one level are disjoint and solved as a batch.
 In continuous mode a level keeps its segments' final multipliers, and each
 merged segment of the level above gets its two children's as probes that may
 bracket its own (`solve_segments_continuous`).
+
+A level keeps alive only what its kernel call reads: the working boxes, the
+level's index array, and x where the level does not cover every variable. A
+level over every variable reads x only in its merges, before the call, and
+takes the kernel's answer as the new x.
 """
 
 from __future__ import annotations
@@ -65,9 +70,9 @@ def tighten(inst: NestedInstance) -> WorkingBounds:
     """
     P = inst.positions
     d_shift = inst.upper - inst.lower
-    lower_cum = np.concatenate([[0.0], np.cumsum(inst.lower)])
-    a_shift = inst.a - lower_cum[inst.s[:-1]]
-    b_shift = inst.B - lower_cum[inst.n]
+    lower_cum = np.cumsum(inst.lower)  # lower mass through each variable
+    a_shift = inst.a - lower_cum[inst.s[:-1] - 1]
+    b_shift = inst.B - lower_cum[-1]
 
     tail = np.append(a_shift, b_shift)
     capped = np.minimum.accumulate(tail[::-1])[::-1][:-1]
@@ -84,7 +89,7 @@ def tighten(inst: NestedInstance) -> WorkingBounds:
         # with the j = 0 term (capacity alone, no bound) entering as 0
         g = np.concatenate([[0.0], capped - cum_cap[: inst.m - 1]])
         abar[1:-1] = cum_cap[: inst.m - 1] + np.minimum.accumulate(g)[1:]
-    return WorkingBounds(dbar=d_shift.copy(), abar=abar)
+    return WorkingBounds(dbar=d_shift, abar=abar)
 
 
 def check_feasible(inst: NestedInstance, wb: WorkingBounds) -> bool:
@@ -144,17 +149,20 @@ def solve(
     if not check_feasible(inst, wb):
         stats.wall_ms = (time.perf_counter() - t0) * 1e3
         return Solution(None, math.nan, Status.INFEASIBLE, eps), stats
+    abar = np.maximum.accumulate(wb.abar)  # iron out round-off dips
+    del wb  # the levels read abar alone
 
     levels = _build_levels(inst.m)
     stats.recursion_levels = len(levels)
     eps_sub = None if eps is None else eps / len(levels)
 
     P = inst.positions
-    lower_cum = np.concatenate([[0.0], np.cumsum(inst.lower)])
-    abar = np.maximum.accumulate(wb.abar)  # iron out round-off dips
+    # lower mass before each block boundary: lower_cum[j] = sum(lower[:P[j]])
+    lower_cum = np.concatenate([[0.0], np.cumsum(inst.lower)[P[1:] - 1]])
     cb = inst.lower.copy()
     db = inst.upper.copy()
     x = np.zeros(inst.n)
+    every = None  # the index array of a level over every variable, made once
     lam = None  # the final multipliers of the last level's segments, or None
 
     for depth in range(len(levels) - 1, -1, -1):
@@ -163,20 +171,28 @@ def solve(
         if merge.any():
             mv, mw = v[merge], w[merge]
             t = (mv + mw) // 2
-            left = _concat_ranges(P[mv - 1], P[t])
-            right = _concat_ranges(P[t], P[mw])
-            cb[left] = inst.lower[left]
-            db[left] = x[left]
-            cb[right] = x[right]
-            db[right] = inst.upper[right]
+            # one half's index array at a time, none left for the kernel call
+            half = _concat_ranges(P[mv - 1], P[t])
+            cb[half] = inst.lower[half]
+            db[half] = x[half]
+            half = _concat_ranges(P[t], P[mw])
+            cb[half] = x[half]
+            db[half] = inst.upper[half]
+            del half
 
         starts, ends = P[v - 1], P[w]
         # targets in original coordinates: shifted block budget plus lower mass
-        targets = (abar[w] - abar[v - 1]) + (lower_cum[ends] - lower_cum[starts])
+        targets = (abar[w] - abar[v - 1]) + (lower_cum[w] - lower_cum[v - 1])
         offsets = np.concatenate([[0], np.cumsum(ends - starts)])
-        whole = offsets[-1] == inst.n
-        e_idx = np.arange(inst.n) if whole else _concat_ranges(starts, ends)
-        at = slice(None) if whole else e_idx  # a level over all: box views, x in place
+        if offsets[-1] == inst.n:
+            # a level over every variable: the kernel reads views of the
+            # boxes, and its answer replaces all of x, which only the merges
+            # above read, so x is not kept through the call
+            if every is None:
+                every = np.arange(inst.n)
+            e_idx, at, x = every, slice(None), None
+        else:
+            e_idx = at = _concat_ranges(starts, ends)
         box_lo, box_hi = cb[at], db[at]
         if inst.mode is Mode.CONTINUOUS:
             # a merged segment may start from its two children's final
@@ -209,7 +225,12 @@ def solve(
                 f"{float(vals[k])} lies outside [{float(box_lo[k])}, {float(box_hi[k])}] "
                 f"by {float(excess[k])}"
             )
-        x[at] = vals
+        if x is None:
+            x = vals  # a fresh array from the kernel
+        else:
+            x[at] = vals
+        # nothing else of this level is read again
+        del vals, inside, box_lo, box_hi, e_idx, at
         stats.rap_calls += int(v.size)
         if deadline is not None and time.perf_counter() > deadline:
             raise SolveTimeout("time limit exceeded")

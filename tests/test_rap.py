@@ -1479,14 +1479,15 @@ def test_probes_agree_with_the_cold_search(monkeypatch, family):
     bracket = rap_module._bracket_segments
     cold_segments = []
 
-    def record(obj, idx, lo, hi, offsets, targets, stats=None):
+    def record(obj, idx, lo, hi, offsets, targets, *args, **kwargs):
         cold_segments.append(targets.size)
-        return bracket(obj, idx, lo, hi, offsets, targets, stats)
+        return bracket(obj, idx, lo, hi, offsets, targets, *args, **kwargs)
 
     monkeypatch.setattr(rap_module, "_bracket_segments", record)
     x, lam, _ = _warm_call(obj, c, d, lengths, targets, probes)
-    # one-sided, NaN and below the gate take the cold bracket
-    assert cold_segments == [4]
+    # NaN and below the gate take the cold bracket before any probe is
+    # evaluated, one-sided probes once their excess shows the miss
+    assert cold_segments == [3, 1]
     assert np.all(np.abs(x - x0) <= 1e-9)
     assert np.isnan(lam[7]) and np.isfinite(lam[:7]).all()
     assert lam[3] == lam_hit  # a probe that hits is the segment's bracket
