@@ -20,7 +20,11 @@ ratio, the largest move, the continuous instances that moved by more than
 the benchmark's accuracy `workloads.EPS` and the integer instances whose
 `x` is not equal, the kernel counters summed per side and two sha256 per
 side over every `x` of every instance: of the bytes as they are, and with
--0.0 read as 0.0. `--json PATH` also writes every row and summary there.
+-0.0 read as 0.0. The hardware-independent headline, objective evaluations
+per element per level (`kernel_evals / (n levels)`), is printed per instance
+and side and summed per family and side, all instances of a family pooled
+(`all` pools the workload). `--json PATH` also writes every row and summary
+there.
 
 Memory, per instance and side: the traced peak of one extra, untimed solve
 under `tracemalloc` (what the solve allocates beyond the instance), in MiB
@@ -132,12 +136,14 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
     rows, ratios, won, zeros_total = [], [], 0, 0
     steps = {side: 0 for side in sides}
     evals = {side: 0 for side in sides}
+    # per family and side: kernel_evals and n * levels, summed
+    headline = {}
     faults = {side: 0 for side in sides}
     sys_s = {side: 0.0 for side in sides}
     peaks = {side: 0.0 for side in sides}
     print(f"== {workload} seeds {' '.join(map(str, seeds))}")
     print(f"{'instance':<28} {'base_s':>9} {'change_s':>9} {'ratio':>7} {'max_dx':>9} "
-          f"{'peak_b':>7} {'peak_c':>7} {'kflt_b':>7} {'kflt_c':>7}  same")
+          f"{'peak_b':>7} {'peak_c':>7} {'kflt_b':>7} {'kflt_c':>7} {'epl_b':>6} {'epl_c':>6}  same")
     for seed in seeds:
         for item in workloads.build(workload, seed).items:
             insts = {"base": as_base(item.inst, base_model), "change": item.inst}
@@ -159,9 +165,16 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
                 sys_s[side] += row_sys[side]
                 peaks[side] = max(peaks[side], arrays[side])
             (bsol, bstats), (csol, cstats) = last["base"], last["change"]
+            epl = {}
             for side, (sol, st) in last.items():
                 steps[side] += st.kernel_steps
                 evals[side] += st.kernel_evals
+                work = item.n * st.recursion_levels
+                epl[side] = st.kernel_evals / work if work else 0.0
+                for key in (item.family, "all"):
+                    acc = headline.setdefault(key, {name: [0, 0] for name in sides})[side]
+                    acc[0] += st.kernel_evals
+                    acc[1] += work
                 if sol.x is not None:
                     digest[side].update(np.ascontiguousarray(sol.x).tobytes())
                     unsigned[side].update((sol.x + 0.0).tobytes())
@@ -191,13 +204,15 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
                 flags += f" ({signed_zeros} zeros of opposite sign)"
             print(f"{label:<28} {tb:9.4f} {tc:9.4f} {tc / tb:7.3f} {dx:9.2e} "
                   f"{arrays['base']:7.2f} {arrays['change']:7.2f} "
-                  f"{row_faults['base'] / 1e3:7.1f} {row_faults['change'] / 1e3:7.1f}  {flags}"
+                  f"{row_faults['base'] / 1e3:7.1f} {row_faults['change'] / 1e3:7.1f} "
+                  f"{epl['base']:6.2f} {epl['change']:6.2f}  {flags}"
                   f"  steps={cstats.kernel_steps} evals={cstats.kernel_evals}")
             rows.append({
                 **item.describe(), "base_s": round(tb, 5), "change_s": round(tc, 5),
                 "max_dx": float(f"{dx:.3g}"), "same": same, "same_x": same_x,
                 "steps": [bstats.kernel_steps, cstats.kernel_steps],
                 "evals": [bstats.kernel_evals, cstats.kernel_evals],
+                "evals_per_elem_level": [round(epl[side], 4) for side in sides],
                 "peak_mib": [round(peak[side] / 2**20, 3) for side in sides],
                 "peak_arrays": [round(arrays[side], 4) for side in sides],
                 "minflt": [row_faults[side] for side in sides],
@@ -214,6 +229,10 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
         "signed_zeros": zeros_total,
         "kernel_steps": steps,
         "kernel_evals": evals,
+        "evals_per_elem_level": {
+            key: {side: round(e / w, 4) if w else 0.0 for side, (e, w) in acc.items()}
+            for key, acc in sorted(headline.items(), key=lambda kv: kv[0] == "all")
+        },
         "minflt": faults,
         "sys_s": {side: round(sys_s[side], 4) for side in sides},
         "peak_arrays_max": {side: round(peaks[side], 4) for side in sides},
@@ -226,6 +245,10 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
           f"eps {workloads.EPS:g}: {summary['cont_above_eps']}; integer instances not equal: "
           f"{summary['int_not_equal']}")
     print(f"coordinates equal but for the sign of zero: {zeros_total}")
+    print("evaluations per element per level, base -> change: " + ", ".join(
+        f"{key} {v['base']:.2f} -> {v['change']:.2f}"
+        for key, v in summary["evals_per_elem_level"].items()
+    ))
     for side in sides:
         print(f"{side:<6} sha256 {digest[side].hexdigest()} "
               f"kernel_steps {steps[side]} kernel_evals {evals[side]}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -102,7 +103,9 @@ class ObjectiveSpec:
 
     CUSTOM objectives supply `value_fn(i, x)` and, optionally,
     `derivative_fn(i, x)`. A CUSTOM objective without a derivative can only
-    be used with integer variables.
+    be used with integer variables. Fuelopt's per-variable constants p c^4
+    and (3 p c^4)^(1/4) are built once, on first use, and every map and
+    derivative gathers them.
     """
 
     family: Family
@@ -164,6 +167,14 @@ class ObjectiveSpec:
 
     # -- vectorized API (no domain checks; poles produce +/-inf) ------------
 
+    @cached_property
+    def _fuel_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fuelopt's p c^4, its cost's numerator, and g = (3 p c^4)^(1/4), the
+        factor of x(lam) = g h(lam), per variable."""
+        p, c = self.params["p"], self.params["c"]
+        c4 = c**4
+        return p * c4, (3.0 * p * c4) ** 0.25
+
     def value_at(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self.value_map(idx)(x)
 
@@ -175,16 +186,13 @@ class ObjectiveSpec:
             if fam is Family.CRASHING:
                 return -self.params["p"][idx] / x**2
             if fam is Family.FUELOPT:
-                # -3 p c^4 / x^4, left to right, in the gathered copies
-                p, c = np.take(self.params["p"], idx), np.take(self.params["c"], idx)
-                c *= c
-                c *= c
-                p *= -3.0
-                p *= c
-                del c
+                # -3 p c^4 / x^4 in the gathered copy
+                d = np.take(self._fuel_constants[0], idx)
+                d *= -3.0
                 x4 = x * x
                 x4 *= x4
-                return p / x4
+                d /= x4
+                return d
             if fam is Family.QUADRATIC:
                 w, t = self.params["w"][idx], self.params["t"][idx]
                 return 2.0 * w * (x - t)
@@ -234,8 +242,7 @@ class ObjectiveSpec:
             kc, p = self.params["k"][idx], self.params["p"][idx]
             expr = lambda x, k: _pick(kc, k) + _pick(p, k) / x
         elif fam is Family.FUELOPT:
-            p, c = self.params["p"][idx], self.params["c"][idx]
-            pc4 = p * c**4
+            pc4 = self._fuel_constants[0][idx]
             expr = lambda x, k: _pick(pc4, k) / x**3
         else:
             w, t = self.params["w"][idx], self.params["t"][idx]
@@ -283,8 +290,7 @@ class ObjectiveSpec:
         if fam is Family.CRASHING:
             g = np.sqrt(self.params["p"][idx])
         else:
-            p, c = self.params["p"][idx], self.params["c"][idx]
-            g = (3.0 * p * c**4) ** 0.25
+            g = self._fuel_constants[1][idx]
         h = _POLE_H[fam]
 
         def inv(lam, seg_len=None, k=None):  # x = g h(lam)

@@ -20,8 +20,9 @@ box) passes its bracket through an interior point instead and has x
 evaluated at both ends.
 
 A warm bracket replaces the cold one where the caller passes two probe
-multipliers per segment (`probes`; the solver passes a merged segment its
-two children's final multipliers, which the kernel writes to `lam_out`).
+multipliers per segment (`probes`; the solver passes a merged segment the
+multipliers that ended its two children, which the kernel writes to
+`lam_out`).
 Open segments of at least `_BREAKPOINT_PHASE_ELEMENTS` movable elements have
 x evaluated at both probes. Where the excess is <= 0 at the lower probe and
 >= 0 at the upper one they straddle the root and are the bracket, and the
@@ -49,39 +50,40 @@ per-segment state, in one loop for every call:
   crashing and fuelopt have x_i = g_i h(lam) with h = (-lam)^(-1/2) and
   (-lam)^(-1/4) (`ObjectiveSpec.multiplier_coordinate`), and quadratic x is
   affine in lam, so regula falsi in h (in lam for quadratic) lands on the
-  root; F and CUSTOM interpolate in lam. Large calls interpolate in lam,
-  where their brackets hold kinks. A step takes the midpoint instead when
-  the point leaves the open bracket or is not finite, or when the bracket is
-  wider than its budget, four times what plain bisection would leave after
-  as many steps. In large calls the budget runs from the start, so no bracket
-  falls more than three halvings behind bisection. In small calls it starts
-  again once the breakpoint phase ends and after each forced midpoint, so a
-  bracket that once fell behind interpolates again, and each halving takes
-  at most four steps.
+  root; F and CUSTOM interpolate in lam. Calls of every size use the same
+  coordinate. A step takes the midpoint instead when the point leaves the
+  open bracket or is not finite, or when the bracket is wider than its
+  budget: `_BISECTION_BUDGET` (16) times what plain bisection would leave
+  after as many interpolation steps. The budget is set when the search
+  starts and never restarted, the same rule as the integer kernel's, so no
+  bracket falls more than five halvings behind bisection.
 - Geometric steps, in large calls of crashing and fuelopt. Near their pole
   x(lam) runs over decades, and a cold bracket from a floor near 0 spans
-  many of them (lam_lo = -p / c^2), where neither regula falsi in lam nor
-  the midpoint gets far. While a bracket's ends differ by more than a factor
-  of `_GEOMETRIC_RATIO`, the step is their geometric mean -sqrt(lam_lo
-  lam_hi), which halves the bracket in log(-lam).
+  many of them (lam_lo = -p / c^2), where the midpoint gets nowhere and
+  regula falsi, across the kinks of every element that leaves its floor, is
+  slow. While a bracket's ends differ by more than a factor of
+  `_GEOMETRIC_RATIO`, the step is their geometric mean -sqrt(lam_lo lam_hi),
+  which halves the bracket in log(-lam); it overrides the interpolation
+  point, not the budget.
 
-A segment ends once one evaluation (a bracket end or a step) gives an excess
-within eps/2 of zero (the root stop), and that evaluation's allocation is the
-one per-element array kept. Its residual is filled from it in index order,
-up inside d - x(lam) for a hit from below, down inside x(lam) - c for a hit
-from above, with every gap capped at the residual: one add to the first
-element with room where it holds all of it (`_add_residuals`, the closed
-form), the general fill elsewhere. The box bound is sound:
-x(lam) is exactly optimal for its own sum R', and optimal allocations are
-coordinatewise monotone in the target, so an optimum for R lies in the box
-[x(lam) - |R - R'|, x(lam)] (or its mirror above x(lam)), and so does the
-filled point. They differ by at most |R - R'| <= eps/2 per coordinate. Every
-segment also ends once lam_lo and lam_hi are adjacent doubles (`stuck`); one
-that ends so without a hit has x evaluated at both of its bracket ends again,
-for its own elements only, and its residual R - sum(x(lam_lo)) is filled up
-inside x(lam_hi) - x(lam_lo). Large calls retire finished segments and
-compact the working set once half of them are done; small calls finalize
-once, at the end.
+A segment ends once one evaluation (a probe, a bracket end or a step) gives an
+excess within eps/2 of zero (the root stop), and that evaluation's allocation
+is the one per-element array kept; its multiplier is what the kernel writes to
+`lam_out`, so the level above starts from the one that hit. Its residual is
+filled from it in index order, up inside d - x(lam) for a hit from below, down
+inside x(lam) - c for a hit from above, with every gap capped at the residual:
+one add to the first element with room where it holds all of it
+(`_add_residuals`, the closed form), the general fill elsewhere. The box bound
+is sound: x(lam) is exactly optimal for its own sum R', and optimal
+allocations are coordinatewise monotone in the target, so an optimum for R
+lies in the box [x(lam) - |R - R'|, x(lam)] (or its mirror above x(lam)), and
+so does the filled point. They differ by at most |R - R'| <= eps/2 per
+coordinate. Every segment also ends once lam_lo and lam_hi are adjacent
+doubles (`stuck`); one that ends so without a hit has x evaluated at both of
+its bracket ends again, for its own elements only, and its residual
+R - sum(x(lam_lo)) is filled up inside x(lam_hi) - x(lam_lo); its `lam_out` is
+its bracket's midpoint. Large calls retire finished segments and compact the
+working set once half of them are done; small calls finalize once, at the end.
 
 Every step evaluates x(lam) through one map per call (`_inverse_map`), built
 again after each compaction: the objective's `ObjectiveSpec.inverse_map`,
@@ -96,23 +98,22 @@ after `max_iter` steps raises instead of returning an unconverged point.
 The integer kernel searches over unit marginal costs f_i(t) - f_i(t-1) with
 the same step rule (`_propose`, `_illinois`): the regula falsi point of the
 unit excess sum(x) - R, in h for crashing and fuelopt, Illinois halving, and
-a bisection budget (16x the initial bracket there, run from the start). At a
-multiplier lam an element takes the largest unit t whose marginal is <= lam.
-The kernel keeps the unit allocations at both bracket ends, so each step
-searches only between them, and the excess at the ends costs nothing. A
-segment stops at an exact hit (sum(x(lam)) = R, which is the greedy's
-answer), once its ends differ by at most one unit per element, or once they
-are adjacent doubles; once half of the working segments have stopped, they
-are finished and the live ones compacted. By convexity t lies within one
-unit of the continuous point x_c = (f')^-1(lam) (Hochbaum's proximity), so a
-step probes g = round(x_c), taken from the inverse map at the open elements,
-and checks two marginals: unit g qualifies and unit g + 1 does not. The
-checks price units with the costs of `ObjectiveSpec.value_map`, the
-arithmetic of the greedy oracle, so a probe can only narrow an element's
-unit range; the few elements it leaves open, and all elements of CUSTOM
-objectives, which have no map, are halved. The few residual units then go out in greedy order,
-ascending marginal with the lowest index first, the order in which the heap
-greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
+the same bisection budget. At a multiplier lam an element takes the largest
+unit t whose marginal is <= lam. The kernel keeps the unit allocations at both
+bracket ends, so each step searches only between them, and the excess at the
+ends costs nothing. A segment stops at an exact hit (sum(x(lam)) = R, which is
+the greedy's answer), once its ends differ by at most one unit per element, or
+once they are adjacent doubles; once half of the working segments have
+stopped, they are finished and the live ones compacted. By convexity t lies
+within one unit of the continuous point x_c = (f')^-1(lam) (Hochbaum's
+proximity), so a step probes g = round(x_c), taken from the inverse map at the
+open elements, and checks two marginals: unit g qualifies and unit g + 1 does
+not. The checks price units with the costs of `ObjectiveSpec.value_map`, the
+arithmetic of the greedy oracle, so a probe can only narrow an element's unit
+range; the few elements it leaves open, and all elements of CUSTOM objectives,
+which have no map, are halved. The few residual units then go out in greedy
+order, ascending marginal with the lowest index first, the order in which the
+heap greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
@@ -140,19 +141,21 @@ class SolveTimeout(RuntimeError):
     """Cooperative time-limit cutoff raised from inside a kernel loop."""
 
 
-# Calls of fewer open elements than this run the breakpoint phase, then
-# interpolate crashing and fuelopt in h, restart the bisection budget after
-# the phase and after each forced midpoint, and finalize once without
-# compacting: there the phase's sort is cheap and saves most steps. Above it
-# the sort of up to twice as many breakpoints, and the finished segments the
-# phase keeps evaluating, cost more than the steps it saves, and regula falsi
-# in h over a large call's kinked brackets loses to bisection. Segments of at
-# least this many movable elements are also the ones that take probes
-# (`solve_segments_continuous`).
+# Calls of fewer open elements than this run the breakpoint phase and
+# finalize once without compacting: there the phase's sort is cheap and saves
+# most steps. Above it the sort of up to twice as many breakpoints, and the
+# finished segments the phase keeps evaluating, cost more than the steps it
+# saves. Segments of at least this many movable elements are also the ones
+# that take probes (`solve_segments_continuous`).
 _BREAKPOINT_PHASE_ELEMENTS = 2000
 # Large calls of a pole family (crashing, fuelopt) step at the geometric mean
 # of a bracket whose ends differ by more than this factor.
 _GEOMETRIC_RATIO = 16.0
+# Both kernels' bisection budget: a bracket may stay this many times wider
+# than its initial width halved once per interpolation step. It is set when
+# the search starts and never restarted, so no bracket falls more than five
+# halvings (32x) behind plain bisection.
+_BISECTION_BUDGET = 16.0
 
 
 def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -342,16 +345,10 @@ def _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord):
     (`ObjectiveSpec.multiplier_coordinate`) where sum(x) is affine between
     clamp changes, in lam where `coord` is None. The midpoint already in
     `lam` stays where that point leaves the open bracket, is not finite, or
-    the bracket is wider than `max_width`, which is halved. Returns where the
-    point was taken.
+    the bracket is wider than `max_width`, which is halved.
 
-    Each kernel sets its own budget. The continuous one starts `max_width`
-    at 4x the bracket and, in small calls, starts it again after each
-    breakpoint step and forced midpoint; the integer one starts it at 16x
-    and never restarts it, which took the fewest integer steps. 16x would
-    take fewer continuous steps too, but it moves continuous answers within
-    eps, so the continuous kernel keeps 4x until a change of its own moves
-    it.
+    Both kernels start `max_width` at `_BISECTION_BUDGET` times the initial
+    bracket and never restart it.
     """
     if coord is None:
         prop = lam_lo - f_lo * (lam_hi - lam_lo) / (f_hi - f_lo)
@@ -362,7 +359,6 @@ def _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord):
     ok = (prop > lam_lo) & (prop < lam_hi) & (lam_hi - lam_lo <= max_width)
     np.copyto(lam, prop, where=ok)
     max_width *= 0.5
-    return ok
 
 
 def _illinois(f_lo, f_hi, last_hi, move_hi):
@@ -390,17 +386,18 @@ def solve_segments_continuous(
     eps_x: float,
     deadline: float | None = None,
     stats: SolveStats | None = None,
-    # A bracket of doubles is down to adjacent doubles after at most 2099
-    # halvings: its width is below 2^1025 and doubles lie at least 2^-1074
-    # apart. A small call spends at most 12 steps in its breakpoint phase
-    # (fewer than 4000 breakpoints) and then at most 4 per halving, three
-    # interpolation steps and the midpoint its budget forces; a large call
-    # takes at most one per halving, the three its budget lets it fall behind
-    # and, for a pole family, ten geometric steps (each takes the square root
-    # of the ratio of its ends, below 2^2099). So 12 + 4 * 2099 = 8408 steps
-    # leave every bracket stuck, and the cap sits above that: the
-    # adjacent-doubles test ends pathological brackets, not the cap.
-    max_iter: int = 8500,
+    # A bracket of doubles is down to adjacent doubles once its width is
+    # 2^-1074, the least spacing of doubles, and it starts below 2^1025. The
+    # budget halves at every interpolation step and a bracket wider than it
+    # takes the midpoint, so after k steps a bracket is at most 2^(5 + j - k)
+    # times its initial width, j counting the steps whose point overrides
+    # the budget: at most 12 of the breakpoint phase (fewer than 4000
+    # breakpoints) in a small call, or ten geometric ones (each takes the
+    # square root of the ratio of its ends, below 2^2099) in a large call.
+    # So 5 + 12 + 1025 + 1074 = 2116 steps leave every bracket stuck, and
+    # the cap sits above that: the adjacent-doubles test ends pathological
+    # brackets, not the cap.
+    max_iter: int = 2200,
     *,
     probes: np.ndarray | None = None,
     lam_out: np.ndarray | None = None,
@@ -414,7 +411,8 @@ def solve_segments_continuous(
     where they straddle the target they are the segment's bracket, and a
     probe whose excess is within eps_x / 2 ends the segment. Given `lam_out`,
     of shape (segments,), the kernel writes each segment's final multiplier
-    into it: its bracket's midpoint when it ends, NaN where `_working_set`
+    into it: the probe, bracket end or step whose excess ended the segment,
+    its bracket's midpoint where it ends stuck, NaN where `_working_set`
     closes it.
 
     Raises RuntimeError if segments are still open after max_iter steps.
@@ -433,8 +431,8 @@ def solve_segments_continuous(
         # idx is the identity here (a level over every variable): positions
         # are variable indices, and one array serves as both
         e_idx = out_pos
-    coord = obj.multiplier_coordinate() if small else None
-    geometric = not small and obj.multiplier_coordinate() is not None
+    coord = obj.multiplier_coordinate()
+    geometric = not small and coord is not None
     probes = None if small else probes
     warm = seg_ids = None
     if lam_out is not None or probes is not None:
@@ -558,20 +556,22 @@ def solve_segments_continuous(
     # per-element state is kept
     hit_hi = np.abs(f_hi) <= half_eps
     hit = hit_hi | (np.abs(f_lo) <= half_eps)
+    if lam_out is not None:
+        lam_out[seg_ids[hit]] = np.where(hit_hi, lam_hi, lam_lo)[hit]
     top = hit_hi & box_top
     if top.any():
         np.copyto(x_fin, e_hi, where=np.repeat(top, seg_len))
-    # the bracket width the bisection budget allows (4x what plain halving
-    # would leave), and the end moved by the last interpolation step (1 hi,
-    # 0 lo, -1 none)
-    max_width = 4.0 * (lam_hi - lam_lo)
+    # the bracket width the bisection budget allows, and the end moved by the
+    # last interpolation step (1 hi, 0 lo, -1 none)
+    max_width = _BISECTION_BUDGET * (lam_hi - lam_lo)
     last_hi = np.full(seg_tgt.size, -1, dtype=np.int8)
 
     def finalize(sel):
         """Repair converged segments: fill each residual in index order from
         the hit's allocation, or from the bracket ends where none hit."""
         if lam_out is not None:
-            lam_out[seg_ids[sel]] = 0.5 * (lam_lo[sel] + lam_hi[sel])
+            stuck = sel & ~hit
+            lam_out[seg_ids[stuck]] = 0.5 * (lam_lo[stuck] + lam_hi[stuck])
         r = seg_tgt - np.add.reduceat(x_fin, seg_off[:-1])
         one = _add_residuals(x_fin, e_lo, e_hi, seg_off, seg_len, r, sel & hit)
         x_out[out_pos] = x_fin  # read in place; live segments write again as they end
@@ -667,7 +667,7 @@ def solve_segments_continuous(
                 n_scan = np.count_nonzero(scan)
                 scanning, interpolating = n_scan > 0, n_scan < done.size - n_done
             if interpolating:
-                ok = _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord)
+                _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord)
             if geometric:
                 # a pole family's x(lam) runs over decades inside a bracket
                 # whose ends differ by more than _GEOMETRIC_RATIO, where
@@ -699,16 +699,13 @@ def solve_segments_continuous(
                 last_hi[scan] = -1
                 np.copyto(bp_b, mid, where=scan & move_hi)
                 np.copyto(bp_a, mid + 1, where=scan & move_lo)
-            if small:
-                # the budget starts again at 4x the width after every step of
-                # the breakpoint phase and after each forced midpoint
-                reset = (scan | ~ok) if interpolating else scan
-                np.copyto(max_width, 4.0 * (lam_hi - lam_lo), where=reset)
             # the true excess, not the halved one, decides a hit
             near = live & (np.abs(f) <= half_eps)
             if near.any():
                 np.copyto(x_fin, xm, where=np.repeat(near, seg_len))
                 hit |= near
+                if lam_out is not None:
+                    lam_out[seg_ids[near]] = lam[near]
             del xm  # freed before the next step allocates its own
             it += 1
             if it % 8 == 0:
@@ -789,11 +786,12 @@ def solve_segments_integer(
     kernel's rule (`_propose`, `_illinois`) from the unit excess
     sum(x) - target at the two ends, which x_l and x_h already give: regula
     falsi in h for crashing and fuelopt, in lam otherwise, with the Illinois
-    halving, and the midpoint where the budget runs out (16x the initial
-    bracket, halved every step and never restarted, so no bracket falls five
-    halvings, 32x, behind bisection). x is monotone in lam, so a step only
-    searches [x_l, x_h], with `_int_alloc`: a probe at the rounded continuous
-    point (f')^-1(lam), then halving where the probe leaves an element open.
+    halving, and the midpoint where the budget runs out (`_BISECTION_BUDGET`,
+    16x the initial bracket, halved every step and never restarted, so no
+    bracket falls five halvings, 32x, behind bisection). x is monotone in
+    lam, so a step only searches [x_l, x_h], with `_int_alloc`: a probe at
+    the rounded continuous point (f')^-1(lam), then halving where the probe
+    leaves an element open.
 
     A segment stops at an exact hit, sum(x(lam)) == target, with
     x_l = x_h = x(lam). That is the greedy's answer. By convexity each
@@ -849,10 +847,7 @@ def solve_segments_integer(
     lam_hi = np.maximum.reduceat(marginal(x_h), starts)
     f_lo = np.add.reduceat(x_l, starts) - seg_tgt
     f_hi = np.add.reduceat(x_h, starts) - seg_tgt
-    # The bisection budget, 16x the initial bracket, runs from the start and
-    # never restarts, so no bracket falls five halvings (32x) behind plain
-    # bisection; see `_propose` for why the continuous kernel's budget differs.
-    max_width = 16.0 * (lam_hi - lam_lo)
+    max_width = _BISECTION_BUDGET * (lam_hi - lam_lo)
     last_hi = np.full(seg_tgt.size, -1, dtype=np.int8)
 
     it = 0

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -105,22 +106,34 @@ def check_feasible(inst: NestedInstance, wb: WorkingBounds) -> bool:
     return not np.any(suffix < wb.abar[-1] - wb.abar[:-1] - tol)
 
 
-def _build_levels(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-depth (v, w) block ranges of the midpoint-split recursion tree."""
-    levels = [(np.array([1], dtype=np.int64), np.array([m], dtype=np.int64))]
+def _build_levels(m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per-depth (v, w) block ranges of the midpoint-split recursion tree,
+    deepest first, 1 + ceil(log2 m) depths, each built when it is asked for.
+
+    A range of s blocks splits into ceil(s / 2) and floor(s / 2), so the
+    ranges of one depth differ in size by at most one. Above the first depth
+    whose ranges hold at most two blocks every range splits, and each depth
+    is the pairwise merge of the one below; the deepest depth holds the
+    single blocks of that depth's two-block ranges. The depths down to it are
+    built from the root and dropped, and no depth is kept once the one above
+    it is built.
+    """
+    v, w = np.array([1], dtype=np.int64), np.array([m], dtype=np.int64)
+    while np.any(w - v > 1):
+        t = (v + w) // 2
+        v, w = np.stack([v, t + 1], axis=1).ravel(), np.stack([t, w], axis=1).ravel()
+        del t
+    # the suspended generator keeps its locals: none but v and w outlive a yield
+    leaves = v[v < w]
+    if leaves.size:
+        leaves = np.stack([leaves, leaves + 1], axis=1).ravel()
+        yield leaves, leaves
+    del leaves
     while True:
-        v, w = levels[-1]
-        split = v < w
-        if not split.any():
-            break
-        sv, sw = v[split], w[split]
-        t = (sv + sw) // 2
-        nv = np.empty(2 * sv.size, dtype=np.int64)
-        nw = np.empty(2 * sv.size, dtype=np.int64)
-        nv[0::2], nw[0::2] = sv, t
-        nv[1::2], nw[1::2] = t + 1, sw
-        levels.append((nv, nw))
-    return levels
+        yield v, w
+        if v.size == 1:
+            return
+        v, w = v[0::2].copy(), w[1::2].copy()  # copies: no view keeps the depth below
 
 
 def solve(
@@ -152,9 +165,9 @@ def solve(
     abar = np.maximum.accumulate(wb.abar)  # iron out round-off dips
     del wb  # the levels read abar alone
 
-    levels = _build_levels(inst.m)
-    stats.recursion_levels = len(levels)
-    eps_sub = None if eps is None else eps / len(levels)
+    n_levels = 1 + (inst.m - 1).bit_length()
+    stats.recursion_levels = n_levels
+    eps_sub = None if eps is None else eps / n_levels
 
     P = inst.positions
     # lower mass before each block boundary: lower_cum[j] = sum(lower[:P[j]])
@@ -164,21 +177,25 @@ def solve(
     x = np.zeros(inst.n)
     every = None  # the index array of a level over every variable, made once
     lam = None  # the final multipliers of the last level's segments, or None
+    levels = _build_levels(inst.m)
+    above = next(levels)  # the deepest level, solved first
 
-    for depth in range(len(levels) - 1, -1, -1):
-        v, w = levels[depth]
+    for depth in range(n_levels - 1, -1, -1):
+        v, w = above
+        above = next(levels, None)  # the level above this one, None above the root
         merge = v < w
         if merge.any():
             mv, mw = v[merge], w[merge]
             t = (mv + mw) // 2
-            # one half's index array at a time, none left for the kernel call
+            # one half's index array at a time; nothing of the merge is left
+            # for the kernel call
             half = _concat_ranges(P[mv - 1], P[t])
             cb[half] = inst.lower[half]
             db[half] = x[half]
             half = _concat_ranges(P[t], P[mw])
             cb[half] = x[half]
             db[half] = inst.upper[half]
-            del half
+            del half, mv, mw, t
 
         starts, ends = P[v - 1], P[w]
         # targets in original coordinates: shifted block budget plus lower mass
@@ -193,6 +210,7 @@ def solve(
             e_idx, at, x = every, slice(None), None
         else:
             e_idx = at = _concat_ranges(starts, ends)
+        del starts, ends  # the kernel reads offsets and targets
         box_lo, box_hi = cb[at], db[at]
         if inst.mode is Mode.CONTINUOUS:
             # a merged segment may start from its two children's final
@@ -204,8 +222,8 @@ def solve(
             # only a segment as large as the kernel's gate takes probes, so
             # multipliers are kept where the next level up holds one
             lam = None
-            if depth and inst.n >= _BREAKPOINT_PHASE_ELEMENTS:
-                up_v, up_w = levels[depth - 1]
+            if above is not None and inst.n >= _BREAKPOINT_PHASE_ELEMENTS:
+                up_v, up_w = above
                 if np.max(P[up_w] - P[up_v - 1]) >= _BREAKPOINT_PHASE_ELEMENTS:
                     lam = np.empty(v.size)
             vals = solve_segments_continuous(

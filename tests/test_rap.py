@@ -1444,8 +1444,8 @@ def test_probes_agree_with_the_cold_search(monkeypatch, family):
     with a NaN, a probe that hits its target exactly and probes outside the
     cold bracket: every coordinate lies within eps_x of the same call without
     probes, and every sum equals its target. Segments below the gate ignore
-    their probes. `lam_out` holds each open segment's final multiplier and
-    NaN for a closed segment. A call whose every segment starts from tight
+    their probes. `lam_out` holds, for each open segment, the multiplier
+    whose excess ended it, and NaN for a closed segment. A call whose every segment starts from tight
     straddling probes evaluates fewer elements than without them."""
     rng = np.random.Generator(np.random.PCG64(400 + WARM_FAMILIES.index(family)))
     lengths = [2500, 3000, 2200, 2400, 2600, 40, 7, 2100]
@@ -1500,3 +1500,31 @@ def test_probes_agree_with_the_cold_search(monkeypatch, family):
     xw, _, warm = _warm_call(obj, c[two], d[two], lengths[:2], targets[:2], tight)
     assert np.all(np.abs(xw - x0[two]) <= 1e-9)
     assert warm.kernel_evals < alone.kernel_evals
+
+
+@pytest.mark.parametrize("family", WARM_FAMILIES)
+def test_lam_out_is_the_multiplier_that_hit(family):
+    """A segment that ends at a hit reports that hit's multiplier in
+    `lam_out`: x there, clamped, sums to within eps_x / 2 of its target,
+    whether the hit is a probe (segment 0), a bracket end (segment 1, its
+    target eps_x / 4 below its box sum) or a step, in a large call and in a
+    small one."""
+    eps_x = 1e-9
+    rng = np.random.Generator(np.random.PCG64(450 + WARM_FAMILIES.index(family)))
+    for lengths in ([2500, 2200, 2400], [40, 7, 150]):
+        c, d, targets = _random_boxes(rng, lengths)
+        obj = (vector_custom(rng, c.size) if family is Family.CUSTOM
+               else random_objective(rng, family, c.size))
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        k0 = np.arange(offsets[0], offsets[1])
+        lam_hit = float(np.median(obj.derivative_at(k0, 0.5 * (c[k0] + d[k0]))))
+        targets[0] = np.add.reduce(
+            _clamped_inverse(obj, k0, np.full(k0.size, lam_hit), c[k0], d[k0])
+        )
+        targets[1] = d[offsets[1]:offsets[2]].sum() - 0.25 * eps_x
+        probes = np.full((len(lengths), 2), np.nan)
+        probes[0] = lam_hit, lam_hit + abs(lam_hit) * 1e-2 + 1e-2
+        x, lam, _ = _warm_call(obj, c, d, lengths, targets, probes, eps_x)
+        xs = _clamped_inverse(obj, np.arange(c.size), np.repeat(lam, lengths), c, d)
+        excess = np.add.reduceat(xs, offsets[:-1]) - targets
+        assert np.all(np.abs(excess) <= 0.5 * eps_x)
