@@ -13,8 +13,10 @@ of one multiplier per segment, or of one per element at chosen positions.
 `ObjectiveSpec.multiplier_coordinate` names the coordinate h(lam) in which
 the pole families' x(lam) is linear, where the search interpolates. The
 integer kernel probes the same maps at single elements and prices units
-with `ObjectiveSpec.value_map`, which gathers the constants of the costs once
-per kernel call; `value_at` is its per-call case.
+with `ObjectiveSpec.marginal_map`, which gathers the constants once per
+kernel call and evaluates f(t) - f(t - 1) in closed form; the greedy oracles
+price through its one-off case, `marginal`. Costs go through
+`ObjectiveSpec.value_map`, whose one-off case is `value_at`.
 """
 
 from __future__ import annotations
@@ -165,6 +167,11 @@ class ObjectiveSpec:
             return float(self.derivative_fn(i, float(x)))
         return float(self.derivative_at(np.array([i]), np.array([float(x)]))[0])
 
+    def marginal(self, i: int, t: float) -> float:
+        """Unit marginal f_i(t) - f_i(t - 1), `marginal_map` at one element and
+        bit for bit its value; like the maps, it makes no domain check."""
+        return float(self.marginal_map(np.array([i]))(np.array([float(t)]))[0])
+
     # -- vectorized API (no domain checks; poles produce +/-inf) ------------
 
     @cached_property
@@ -253,6 +260,62 @@ class ObjectiveSpec:
                 return expr(x, k)
 
         return val
+
+    def marginal_map(
+        self, idx: np.ndarray
+    ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
+        """Unit marginals f_{idx[k]}(t) - f_{idx[k]}(t - 1), constants gathered once.
+
+        The returned `marg(t, k=None)` prices units t of the elements at
+        positions k of `idx` (all of them when k is None); t broadcasts against
+        them, so rows of t price several units of each element. The built-in
+        families evaluate the difference in closed form, without subtracting
+        two costs, so it keeps its accuracy where the costs are huge against
+        it (F near t = 1e9). With u = t(t - 1): crashing -p / u, fuelopt
+        -p c^4 (3 + 1/u) / u^2, F v^3 + v/4 + p with v = t - 1/2, quadratic
+        w (2 (t - T) - 1). Each is a chain of roundings monotone in t, so the
+        computed marginals never decrease in t (right of the pole). The pole
+        families give -inf at t = 1 and +inf at t = 0, as the costs' difference
+        does. CUSTOM objectives difference `value_fn` per point. `marginal` is
+        its one-off case.
+        """
+        fam = self.family
+        if fam is Family.CUSTOM:
+            val = self.value_map(idx)
+            return lambda t, k=None: val(t, k) - val(t - 1.0, k)
+        if fam is Family.F:
+            p = self.params["p"][idx]
+
+            def marg(t, k=None):
+                v = t - 0.5
+                m = v * v
+                m += 0.25
+                m *= v
+                return m + _pick(p, k)
+
+            return marg
+        if fam is Family.QUADRATIC:
+            w, tq = self.params["w"][idx], self.params["t"][idx]
+            return lambda t, k=None: _pick(w, k) * (2.0 * (t - _pick(tq, k)) - 1.0)
+        if fam is Family.CRASHING:
+            neg_p = -self.params["p"][idx]
+
+            def marg(t, k=None):
+                with np.errstate(divide="ignore"):
+                    return _pick(neg_p, k) / (t * (t - 1.0))
+
+            return marg
+        neg_pc4 = -self._fuel_constants[0][idx]
+
+        def marg(t, k=None):
+            u = t * (t - 1.0)
+            with np.errstate(divide="ignore"):
+                m = 1.0 / u
+            m += 3.0
+            m /= u * u
+            return m * _pick(neg_pc4, k)
+
+        return marg
 
     def inverse_map(self, idx: np.ndarray) -> Callable[..., np.ndarray] | None:
         """Unclamped x_k(lam) = (f'_{idx[k]})^-1(lam), constants gathered once.
@@ -452,9 +515,8 @@ class SolveStats:
     `kernel_evals` counts per-element objective evaluations inside the
     kernels, of the movable elements (upper > lower) of open segments only:
     x(lam) evaluations plus the bracket's derivatives in continuous mode,
-    unit marginals plus the probe's continuous points in integer mode (a
-    marginal costs two values; the probe prices two adjacent units from
-    three). A continuous call evaluates x at its bracket ends only for
+    unit marginals priced through `ObjectiveSpec.marginal_map` plus the
+    probe's continuous points in integer mode. A continuous call evaluates x at its bracket ends only for
     segments whose bracket passes through an interior point (a pole or an
     unbounded box at an end) and for segments that end stuck without a hit;
     elsewhere x there is the box end itself.

@@ -51,7 +51,7 @@ def greedy_solve(inst: NestedInstance) -> Solution:
     heap = []
     for i in range(inst.n):
         if x[i] < inst.upper[i]:
-            heapq.heappush(heap, (obj.value(i, x[i] + 1) - obj.value(i, x[i]), i))
+            heapq.heappush(heap, (obj.marginal(i, x[i] + 1), i))
     while remaining > 0 and heap:
         _, i = heapq.heappop(heap)
         j0 = blocks[i] - 1  # first interior constraint containing i, 0-based
@@ -62,7 +62,7 @@ def greedy_solve(inst: NestedInstance) -> Solution:
         if j0 < inst.m - 1:
             slacks[j0:] -= 1
         if x[i] < inst.upper[i]:
-            heapq.heappush(heap, (obj.value(i, x[i] + 1) - obj.value(i, x[i]), i))
+            heapq.heappush(heap, (obj.marginal(i, x[i] + 1), i))
     if remaining > 0:
         return Solution(None, math.nan, Status.INFEASIBLE)
     return Solution(x, objective_value(inst, x), Status.OPTIMAL)
@@ -137,7 +137,7 @@ def rap_integer_greedy(objective, idx, c, d, target) -> np.ndarray:
     def push(j):
         if x[j] < d[j]:
             i = int(idx[j])
-            heapq.heappush(heap, (objective.value(i, x[j] + 1.0) - objective.value(i, x[j]), j))
+            heapq.heappush(heap, (objective.marginal(i, x[j] + 1.0), j))
 
     for j in range(x.size):
         push(j)

@@ -108,12 +108,18 @@ stopped, they are finished and the live ones compacted. By convexity t lies
 within one unit of the continuous point x_c = (f')^-1(lam) (Hochbaum's
 proximity), so a step probes g = round(x_c), taken from the inverse map at the
 open elements, and checks two marginals: unit g qualifies and unit g + 1 does
-not. The checks price units with the costs of `ObjectiveSpec.value_map`, the
-arithmetic of the greedy oracle, so a probe can only narrow an element's unit
-range; the few elements it leaves open, and all elements of CUSTOM objectives,
-which have no map, are halved. The few residual units then go out in greedy
-order, ascending marginal with the lowest index first, the order in which the
-heap greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
+not. Every unit the kernel prices (the probe's pair, the halving, the bracket
+ends and the finish) goes through one map per call,
+`ObjectiveSpec.marginal_map`, which evaluates each built-in family's marginal
+in closed form instead of as the difference of two costs. Those marginals
+stay accurate and increasing in t where the costs dwarf them (F near 1e9
+units), as the proximity argument needs. The greedy oracles price through
+the same function, so a probe can only narrow an element's unit range, and
+the kernel's answer is the greedy's by construction; the few elements a probe
+leaves open, and all elements of CUSTOM objectives, which have no inverse
+map, are halved. The few residual units then go out in greedy order,
+ascending marginal with the lowest index first, the order in which the heap
+greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
 
 All kernels operate on many disjoint segments at once: `offsets` delimits
 segments inside compact arrays, and `idx` maps compact positions to variable
@@ -156,6 +162,8 @@ _GEOMETRIC_RATIO = 16.0
 # the search starts and never restarted, so no bracket falls more than five
 # halvings (32x) behind plain bisection.
 _BISECTION_BUDGET = 16.0
+# Rows of units t and t + 1, the pair the integer kernel's probe prices.
+_NEXT_UNIT = np.array([[0.0], [1.0]])
 
 
 def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -814,28 +822,27 @@ def solve_segments_integer(
     if stats is None:
         stats = SolveStats()
     starts = seg_off[:-1]
-    val = obj.value_map(e_idx)
+    marg = obj.marginal_map(e_idx)
     inv = obj.inverse_map(e_idx)
     coord = obj.multiplier_coordinate()
 
     def marginal(t, k=None, pair=False):
         """Unit marginals f(t) - f(t - 1) of the elements at positions k; with
-        `pair`, the rows of units t and t + 1, priced from three values."""
-        # rows t - 1, t (and t + 1): each element's x broadcasts down a column
-        v = val(t + np.arange(-1.0, 2.0 if pair else 1.0)[:, None], k)
-        stats.kernel_evals += (len(v) - 1) * t.size
-        m = v[1:] - v[:-1]
-        return m if pair else m[0]
+        `pair`, the rows of units t and t + 1."""
+        # each element's t broadcasts down a column
+        m = marg(t + _NEXT_UNIT if pair else t, k)
+        stats.kernel_evals += m.size
+        return m
 
     def finish(sel):
         """Hand out the residual units of stopped segments in greedy order."""
         pos, sub_off, sub_len, (xl, xh) = _select_segments(sel, seg_off, x_l, x_h)
         gaps = xh - xl
         cand = np.flatnonzero(gaps > 0)
-        marg = np.full(gaps.shape, np.inf)
-        marg[cand] = marginal(xl[cand] + 1.0, pos[cand])
+        nxt = np.full(gaps.shape, np.inf)
+        nxt[cand] = marginal(xl[cand] + 1.0, pos[cand])
         seg_of = np.repeat(np.arange(sub_len.size), sub_len)
-        order = np.lexsort((marg, seg_of))  # stable: equal marginals keep index order
+        order = np.lexsort((nxt, seg_of))  # stable: equal marginals keep index order
         resid = seg_tgt[sel] - np.add.reduceat(xl, sub_off[:-1])
         x = np.empty_like(xl)
         x[order] = _segment_fill(xl[order], gaps[order], sub_off, resid, sub_len)
@@ -873,7 +880,7 @@ def solve_segments_integer(
                 )
                 starts = seg_off[:-1]
                 live = np.ones(n_live, dtype=bool)
-                val = obj.value_map(e_idx)
+                marg = obj.marginal_map(e_idx)
                 inv = obj.inverse_map(e_idx)
             _propose(lam, lam_lo, lam_hi, f_lo, f_hi, max_width, coord)
             work = (live.repeat(seg_len) & (gap > 0.0)).nonzero()[0]

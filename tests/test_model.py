@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nested_alloc import Family, Mode, NestedInstance, ObjectiveSpec, ValidationError
-from nested_alloc.model import DomainError, _fsum, objective_value
+from nested_alloc.model import POLE_FAMILIES, DomainError, _fsum, objective_value
 from nested_alloc import rap
 
 from conftest import OBJECTIVE_FAMILIES, random_objective
@@ -249,7 +250,7 @@ class TestInverseMap:
 
 def _parent_value(spec, idx, x):
     """`value_at` as it was before value maps, kept verbatim as the
-    reference for the map formulas: integer answers depend on their bits."""
+    reference for the map formulas: reported objectives depend on their bits."""
     fam = spec.family
     with np.errstate(divide="ignore", invalid="ignore"):
         if fam is Family.F:
@@ -267,9 +268,9 @@ def _parent_value(spec, idx, x):
 
 
 class TestValueMap:
-    """`value_map` prices units for the integer kernel, and the heap greedy
-    prices them with the scalar `value`: the two must agree bit for bit, and
-    with the formulas integer answers were computed with before the maps."""
+    """`value_map` evaluates the costs that `value_at`, the scalar `value` and
+    `objective_value` report: they must agree bit for bit, and with the
+    formulas the costs were computed with before the maps."""
 
     N = 300
 
@@ -308,6 +309,85 @@ class TestValueMap:
         val = spec.value_map(np.array([3, 5, 7]))
         assert val(np.array([1.0, 2.0]), np.array([2, 0])).tolist() == [71.0, 32.0]
         assert val(np.array([0.0, 0.0, 0.0])).tolist() == [30.0, 50.0, 70.0]
+
+
+def _exact_cost(spec, i, t):
+    """Cost of variable i at integer t in exact rational arithmetic, from the
+    constants the family's formula reads (fuelopt's rounded p c^4)."""
+    t = Fraction(t)
+    par = {key: Fraction(float(v[i])) for key, v in spec.params.items()}
+    if spec.family is Family.F:
+        return t**4 / 4 + par["p"] * t
+    if spec.family is Family.CRASHING:
+        return par["k"] + par["p"] / t
+    if spec.family is Family.FUELOPT:
+        return Fraction(float(spec._fuel_constants[0][i])) / t**3
+    return par["w"] * (t - par["t"]) ** 2
+
+
+class TestMarginalMap:
+    """`marginal_map` prices the integer kernel's units, and the greedy
+    oracles price them with its one-off case, the scalar `marginal`. The
+    closed forms must be accurate and increasing where differences of two
+    costs are neither (F near 1e9 units)."""
+
+    UNITS = (2.0, 1e3, 1e9, 2.0**50)
+
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_closed_forms_match_exact_differences(self, family, rng):
+        spec = random_objective(rng, family, 40)
+        idx = rng.permutation(40)[:30]
+        marg = spec.marginal_map(idx)
+        for t in self.UNITS:
+            for m, i in zip(marg(np.full(idx.size, t)).tolist(), idx):
+                exact = _exact_cost(spec, i, int(t)) - _exact_cost(spec, i, int(t) - 1)
+                # within 4 ulp, relative
+                assert abs(Fraction(m) - exact) <= 4 * 2.0**-52 * abs(exact)
+        if family in POLE_FAMILIES:
+            k = rng.integers(0, idx.size, 10)
+            assert np.all(marg(np.ones(10), k) == -np.inf)
+            assert np.all(marg(np.zeros(10), k) == np.inf)
+
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_strictly_increasing_over_200_units(self, family, rng):
+        spec = random_objective(rng, family, 30)
+        idx = np.arange(30)
+        marg, val = spec.marginal_map(idx), spec.value_map(idx)
+        for t in self.UNITS[1:]:
+            units = t + np.arange(200.0)[:, None]  # a row per unit, a column per element
+            assert np.all(np.diff(marg(units), axis=0) > 0)
+            if family is Family.F and t == 1e9:
+                # what the closed form mends: there two costs' difference
+                # rounds to a coarser grid than the marginals' steps
+                assert not np.all(np.diff(val(units) - val(units - 1.0), axis=0) > 0)
+
+    @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
+    def test_scalar_and_rows_are_the_map_bit_for_bit(self, family, rng):
+        spec = random_objective(rng, family, 50)
+        idx = rng.permutation(50)[:40]
+        k = rng.integers(0, idx.size, 100)
+        t = rng.integers(0 if family in POLE_FAMILIES else -5, 60, k.size).astype(float)
+        t[::4] = rng.choice(self.UNITS, t[::4].size)
+        marg = spec.marginal_map(idx)
+        m = marg(t, k)
+        assert np.array_equal(m, [spec.marginal(int(i), u) for i, u in zip(idx[k], t)])
+        # rows of units t and t + 1, as the kernel's probe prices them
+        rows = marg(t + np.array([[0.0], [1.0]]), k)
+        assert np.array_equal(rows[0], m) and np.array_equal(rows[1], marg(t + 1.0, k))
+        assert np.array_equal(marg(t[:idx.size]), [spec.marginal(int(i), u) for i, u in zip(idx, t)])
+
+    def test_custom_differences_value_fn(self):
+        def cost(i, x):
+            return i * x * x + x / 3.0
+
+        spec = ObjectiveSpec(Family.CUSTOM, {}, value_fn=cost)
+        marg = spec.marginal_map(np.array([3, 5, 7]))
+        want = [cost(7, 1.0) - cost(7, 0.0), cost(3, 4.0) - cost(3, 3.0)]
+        assert marg(np.array([1.0, 4.0]), np.array([2, 0])).tolist() == want
+        assert [spec.marginal(7, 1.0), spec.marginal(3, 4.0)] == want
+        assert marg(np.array([2.0, 2.0, 2.0])).tolist() == [
+            cost(i, 2.0) - cost(i, 1.0) for i in (3, 5, 7)
+        ]
 
 
 class TestValidation:

@@ -1,9 +1,11 @@
 import dataclasses
+import heapq
 import math
 import os
 import subprocess
 import sys
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -501,6 +503,57 @@ def test_units_past_2_52_do_not_stall():
     obj = ObjectiveSpec(Family.QUADRATIC, {"w": np.ones(2), "t": np.array([big + 100.0, 50.0])})
     want = [big + 125.0, 75.0]
     assert greedy_rap(obj, [big, 0.0], [big + 300.0, 300.0], big + 200.0).tolist() == want
+
+
+def _fraction_greedy(obj, idx, c, d, target):
+    """`rap_integer_greedy` priced in exact rational arithmetic: one unit at a
+    time to the least exact marginal of the costs the family's formula gives,
+    lowest position on ties."""
+    if obj.family is Family.F:
+        p = [Fraction(float(v)) for v in obj.params["p"][idx]]
+        cost = lambda j, t: Fraction(t**4, 4) + p[j] * t
+    else:
+        pc4 = [Fraction(float(v)) for v in obj._fuel_constants[0][idx]]
+        cost = lambda j, t: pc4[j] / t**3
+    x = [int(v) for v in c]
+    heap = [(cost(j, x[j] + 1) - cost(j, x[j]), j) for j in range(len(x)) if x[j] < d[j]]
+    heapq.heapify(heap)
+    for _ in range(int(target) - sum(x)):
+        _, j = heapq.heappop(heap)
+        x[j] += 1
+        if x[j] < d[j]:
+            heapq.heappush(heap, (cost(j, x[j] + 1) - cost(j, x[j]), j))
+    return x
+
+
+@pytest.mark.parametrize("family", [Family.F, Family.FUELOPT])
+def test_exact_near_a_billion_units(family):
+    """50 segments of 8 elements with boxes and targets near 1e9 units, where
+    a difference of two costs rounds coarser than adjacent marginals differ:
+    one kernel call gives each segment the allocation of the greedy priced in
+    exact rational arithmetic. The costs spread the elements' continuous
+    optima over about the boxes' width, so the optima are interior."""
+    rng = np.random.Generator(np.random.PCG64(130 + (family is Family.FUELOPT)))
+    n_seg, size = 50, 8
+    n = n_seg * size
+    if family is Family.F:
+        # F's marginal is about 3e18 per unit here: p moves an optimum by up
+        # to 2000 units
+        obj = ObjectiveSpec(family, {"p": rng.uniform(0.0, 6e21, n)})
+    else:
+        # x scales like (p c^4)^(1/4): a relative spread of 8e-6 in p is 2000
+        # units at 1e9
+        obj = ObjectiveSpec(family, {"p": 1.0 + rng.uniform(0.0, 8e-6, n), "c": np.ones(n)})
+    c = 1e9 + rng.integers(0, 1000, n)
+    d = c + rng.integers(0, 1000, n)
+    offsets = np.arange(0, n + 1, size)
+    room = np.add.reduceat(d - c, offsets[:-1])
+    targets = np.add.reduceat(c, offsets[:-1]) + np.floor(rng.uniform(0.0, 1.0, n_seg) * room)
+    idx = np.arange(n)
+    x = solve_segments_integer(obj, idx, c, d, offsets, targets)
+    for s in range(n_seg):
+        k = slice(s * size, (s + 1) * size)
+        assert x[k].tolist() == _fraction_greedy(obj, idx[k], c[k], d[k], targets[s])
 
 
 @pytest.mark.parametrize("family, parent_steps", [("fuelopt", 247), ("f", 294)])
