@@ -6,21 +6,24 @@ imports it next to the working tree's package as `nested_alloc_base` (the
 package's imports are relative, so it runs under any name). The instances
 come from the benchmark's `perfbench/workloads.py`, which this script only
 imports. Solves are interleaved ABBA per instance and repetition, so both
-sides see the same drift of the host's speed.
+sides see the same drift of the host's speed. Each continuous solve is
+followed by the check the benchmark times as `verify_s`: its side's
+`oracles.verify_kkt` at `kkt_tolerance`, on its side's answer.
 
     python3 scripts/ab.py --base HEAD --workload sparse-cont --seeds 0 1 2 --reps 3
     python3 scripts/ab.py --base HEAD --workload dense-cont dense-int --seeds 0 --json ab.json
 
 Per instance it prints the median solve time of each side and their ratio
-(change / base), whether the answers agree (`x` compared with
+(change / base), the median verification time of each side (continuous
+instances), whether the answers agree (`x` compared with
 `np.array_equal`, `Solution.objective` with `==`, and both kernel counters),
 and how far they moved: the largest |x_change - x_base| over the instance.
 The summary per workload gives the instances the change won, the median
-ratio, the largest move, the continuous instances that moved by more than
-the benchmark's accuracy `workloads.EPS` and the integer instances whose
-`x` is not equal, the kernel counters summed per side and two sha256 per
-side over every `x` of every instance: of the bytes as they are, and with
--0.0 read as 0.0. The hardware-independent headline, objective evaluations
+ratio, the same two for verification, the largest move, the continuous
+instances that moved by more than the benchmark's accuracy `workloads.EPS`
+and the integer instances whose `x` is not equal, the kernel counters
+summed per side and two sha256 per side over every `x` of every instance:
+of the bytes as they are, and with -0.0 read as 0.0. The hardware-independent headline, objective evaluations
 per element per level (`kernel_evals / (n levels)`), is printed per instance
 and side and summed per family and side, all instances of a family pooled
 (`all` pools the workload). `--json PATH` also writes every row and summary
@@ -39,6 +42,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import resource
 import statistics
@@ -59,13 +63,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np
 
 import workloads
+from nested_alloc import oracles as change_oracles
 from nested_alloc import solver as change_solver
 
 BASE = "nested_alloc_base"
 
 
 def import_base(rev: str, into: Path):
-    """Import `src/nested_alloc` at `rev` as the package `nested_alloc_base`."""
+    """Import `src/nested_alloc` at `rev` as the package `nested_alloc_base`;
+    returns its solver, model and oracles modules."""
     blob = subprocess.run(
         ["git", "-C", str(ROOT), "archive", rev, "src/nested_alloc"],
         check=True, capture_output=True,
@@ -81,7 +87,7 @@ def import_base(rev: str, into: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[BASE] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{BASE}.solver"), importlib.import_module(f"{BASE}.model")
+    return tuple(importlib.import_module(f"{BASE}.{name}") for name in ("solver", "model", "oracles"))
 
 
 def as_base(inst, model):
@@ -104,6 +110,14 @@ def timed_solve(solve, inst, eps):
     t = time.perf_counter() - t
     after = resource.getrusage(resource.RUSAGE_SELF)
     return t, after.ru_minflt - ru.ru_minflt, after.ru_stime - ru.ru_stime, sol, stats
+
+
+def timed_verify(oracles, inst, sol, eps) -> float:
+    """Wall seconds of `verify_kkt` at `kkt_tolerance`, as the benchmark
+    times it for a continuous solve."""
+    t = time.perf_counter()
+    oracles.verify_kkt(inst, sol, oracles.kkt_tolerance(inst, sol.x, eps))
+    return time.perf_counter() - t
 
 
 def traced_peak(solve, inst, eps) -> int:
@@ -129,11 +143,13 @@ def max_move(bx, cx) -> float:
     return float(np.max(np.abs(cx - bx), initial=0.0))
 
 
-def compare(workload, seeds, reps, sides, base_model) -> dict:
-    """A/B of one workload over `seeds`; prints its rows and summary."""
+def compare(workload, seeds, reps, sides, checks, base_model) -> dict:
+    """A/B of one workload over `seeds`; prints its rows and summary.
+    `sides` and `checks` map each side to its solve and its oracles."""
     digest = {side: hashlib.sha256() for side in sides}
     unsigned = {side: hashlib.sha256() for side in sides}  # x + 0.0: -0.0 reads 0.0
     rows, ratios, won, zeros_total = [], [], 0, 0
+    verify_ratios, verify_won = [], 0
     steps = {side: 0 for side in sides}
     evals = {side: 0 for side in sides}
     # per family and side: kernel_evals and n * levels, summed
@@ -143,11 +159,13 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
     peaks = {side: 0.0 for side in sides}
     print(f"== {workload} seeds {' '.join(map(str, seeds))}")
     print(f"{'instance':<28} {'base_s':>9} {'change_s':>9} {'ratio':>7} {'max_dx':>9} "
-          f"{'peak_b':>7} {'peak_c':>7} {'kflt_b':>7} {'kflt_c':>7} {'epl_b':>6} {'epl_c':>6}  same")
+          f"{'peak_b':>7} {'peak_c':>7} {'kflt_b':>7} {'kflt_c':>7} {'epl_b':>6} {'epl_c':>6} "
+          f"{'verify_b':>8} {'verify_c':>8}  same")
     for seed in seeds:
         for item in workloads.build(workload, seed).items:
             insts = {"base": as_base(item.inst, base_model), "change": item.inst}
             times = {side: [] for side in sides}
+            verify_times = {side: [] for side in sides}
             row_faults = {side: 0 for side in sides}
             row_sys = {side: 0.0 for side in sides}
             last = {}
@@ -155,6 +173,10 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
                 for side in ("base", "change", "change", "base"):
                     t, flt, st, *last[side] = timed_solve(sides[side], insts[side], item.eps)
                     times[side].append(t)
+                    sol = last[side][0]
+                    if item.eps is not None and sol.x is not None:
+                        verify_times[side].append(
+                            timed_verify(checks[side], insts[side], sol, item.eps))
                     row_faults[side] += flt
                     row_sys[side] += st
             # in n-sized float64 arrays
@@ -198,6 +220,11 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
             tb, tc = statistics.median(times["base"]), statistics.median(times["change"])
             ratios.append(tc / tb)
             won += tc < tb
+            vb = vc = math.nan  # integer instances and infeasible draws
+            if verify_times["base"] and verify_times["change"]:
+                vb, vc = (statistics.median(verify_times[side]) for side in ("base", "change"))
+                verify_ratios.append(vc / vb)
+                verify_won += vc < vb
             label = f"{item.family} n={item.n} m={item.m} s={item.seed}"
             flags = "yes" if same else f"NO x={same_x} obj={same_obj} counts={same_counts}"
             if signed_zeros:
@@ -205,10 +232,11 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
             print(f"{label:<28} {tb:9.4f} {tc:9.4f} {tc / tb:7.3f} {dx:9.2e} "
                   f"{arrays['base']:7.2f} {arrays['change']:7.2f} "
                   f"{row_faults['base'] / 1e3:7.1f} {row_faults['change'] / 1e3:7.1f} "
-                  f"{epl['base']:6.2f} {epl['change']:6.2f}  {flags}"
+                  f"{epl['base']:6.2f} {epl['change']:6.2f} {vb:8.4f} {vc:8.4f}  {flags}"
                   f"  steps={cstats.kernel_steps} evals={cstats.kernel_evals}")
             rows.append({
                 **item.describe(), "base_s": round(tb, 5), "change_s": round(tc, 5),
+                "verify_s": None if math.isnan(vb) else [round(vb, 5), round(vc, 5)],
                 "max_dx": float(f"{dx:.3g}"), "same": same, "same_x": same_x,
                 "steps": [bstats.kernel_steps, cstats.kernel_steps],
                 "evals": [bstats.kernel_evals, cstats.kernel_evals],
@@ -222,6 +250,9 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
         "won": won,
         "instances": len(rows),
         "median_ratio": statistics.median(ratios),
+        "verify_won": verify_won,
+        "verify_instances": len(verify_ratios),
+        "verify_median_ratio": statistics.median(verify_ratios) if verify_ratios else None,
         "differ": sum(not r["same"] for r in rows),
         "max_dx": max(r["max_dx"] for r in rows),
         "cont_above_eps": sum(r["mode"] == "cont" and r["max_dx"] > workloads.EPS for r in rows),
@@ -241,6 +272,9 @@ def compare(workload, seeds, reps, sides, base_model) -> dict:
     }
     print(f"change won {summary['won']}/{len(rows)}; median ratio {summary['median_ratio']:.3f}; "
           f"instances with different answers or counters: {summary['differ']}")
+    if verify_ratios:
+        print(f"verify: change won {verify_won}/{len(verify_ratios)}; median ratio "
+              f"{summary['verify_median_ratio']:.3f}")
     print(f"largest |x_change - x_base| {summary['max_dx']:.3g}; continuous instances above "
           f"eps {workloads.EPS:g}: {summary['cont_above_eps']}; integer instances not equal: "
           f"{summary['int_not_equal']}")
@@ -280,9 +314,11 @@ def main() -> int:
     args = p.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
-        base_solver, base_model = import_base(args.base, Path(tmp))
+        base_solver, base_model, base_oracles = import_base(args.base, Path(tmp))
         sides = {"base": base_solver.solve, "change": change_solver.solve}
-        results = [compare(w, args.seeds, args.reps, sides, base_model) for w in args.workload]
+        checks = {"base": base_oracles, "change": change_oracles}
+        results = [compare(w, args.seeds, args.reps, sides, checks, base_model)
+                   for w in args.workload]
     if args.json is not None:
         args.json.write_text(to_json(args, results))
     return 0

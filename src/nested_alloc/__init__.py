@@ -1,8 +1,9 @@
 """Separable convex resource allocation under nested partial-sum bounds.
 
 Decomposition solver with integer and eps-accurate continuous modes, greedy
-and brute-force oracles, first-order verification, seeded benchmark
-generators, a geometric solver for scale-invariant objectives, and a CLI.
+and brute-force oracles, single-exchange optimality verification for both
+modes, seeded benchmark generators, a geometric solver for scale-invariant
+objectives, and a CLI.
 
 The package exports what the CLI, the README tour and the acceptance suite
 use, the result types of `solve`, the errors these functions raise, and the

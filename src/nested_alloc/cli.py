@@ -29,12 +29,13 @@ from .model import (
     SolveStats,
     Status,
     ValidationError,
-    prefix_sums,
 )
 from .oracles import count_active_constraints, greedy_solve, kkt_tolerance, verify_kkt
 from .rap import SolveTimeout
 from .solver import active_tolerance, solve
 
+MODES = ("cont", "int")
+SOLVERS = ("decomp", "greedy", "hull")
 CSV_COLUMNS = [
     "family", "n", "m", "seed", "solver", "mode", "epsilon",
     "objective", "active", "rap_calls", "wall_ms", "status", "verified",
@@ -72,26 +73,6 @@ def _scaled_integer_instance(inst: NestedInstance, scale: float) -> NestedInstan
     )
 
 
-def _integer_feasibility(inst: NestedInstance, x: np.ndarray, tau: float) -> dict:
-    """The check `verify` makes on an integer solution: integrality, the
-    total, the partial-sum bounds and the boxes, each within tau."""
-    y = prefix_sums(inst, x)
-    slacks = inst.a - y[: inst.m - 1]
-    ok = bool(
-        np.all(np.abs(x - np.round(x)) <= tau)
-        and abs(y[-1] - inst.B) <= tau
-        and np.all(slacks >= -tau)
-        and np.all(x >= inst.lower - tau)
-        and np.all(x <= inst.upper + tau)
-    )
-    return {
-        "feasible": ok,
-        "sum_gap": float(abs(y[-1] - inst.B)),
-        "prefix_slacks": slacks.tolist(),
-        "verdict": ok,
-    }
-
-
 def cmd_gen(args) -> int:
     try:
         inst = generate_instance(args.family, args.n, args.m, args.seed)
@@ -110,8 +91,6 @@ def _solve_with(inst: NestedInstance, solver: str, eps: float | None, time_limit
         return solve(inst, eps=eps if inst.mode is Mode.CONTINUOUS else None,
                      time_limit_s=time_limit)
     solvers = {"greedy": greedy_solve, "hull": hull_solve_instance}
-    if solver not in solvers:
-        raise ValueError(f"unknown solver '{solver}'")
     t0 = time.perf_counter()
     sol = solvers[solver](inst)
     stats = SolveStats(wall_ms=(time.perf_counter() - t0) * 1e3)
@@ -165,6 +144,13 @@ class BenchConfig:
             raise ValidationError("trials", "need at least one trial per cell")
         if not self.n_list or not self.families:
             raise ValidationError("n_list", "families and n_list must be nonempty")
+        if self.mode not in MODES:
+            raise ValidationError("mode", f"need one of {MODES}, got {self.mode!r}")
+        if self.solver not in SOLVERS:
+            raise ValidationError("solver", f"need one of {SOLVERS}, got {self.solver!r}")
+        unknown = sorted(set(self.families) - {f.value for f in InstanceFamily})
+        if unknown:
+            raise ValidationError("families", f"unknown families {unknown}")
         if self.mode == "cont" and self.epsilon <= 0:
             raise ValidationError("epsilon", "continuous mode needs epsilon > 0")
         if self.time_limit_s is not None and not self.time_limit_s > 0:
@@ -197,12 +183,8 @@ def _bench_cell(cfg: BenchConfig, family: str, n: int, m: int, trial: int):
     except (HullEligibilityError, HullNotApplicableError, ValueError):
         status = "error"
     else:
-        if sol.x is None:
-            verified = ""
-        elif inst.mode is Mode.INTEGER:
-            verified = _integer_feasibility(inst, sol.x, 0.0)["verdict"]
-        else:
-            verified = verify_kkt(inst, sol, kkt_tolerance(inst, sol.x, cfg.epsilon)).verdict
+        verified = "" if sol.x is None else verify_kkt(
+            inst, sol, kkt_tolerance(inst, sol.x, cfg.epsilon)).verdict
         row.update(
             objective=sol.objective if sol.x is not None else "",
             active=stats.active_constraints,
@@ -273,14 +255,11 @@ def cmd_verify(args) -> int:
         return _fail("solution is infeasible; nothing to verify")
     if sol.x.shape[0] != inst.n:
         return _fail(f"dimension mismatch: instance has n={inst.n}, solution has {sol.x.shape[0]}")
-    if inst.mode is Mode.INTEGER:
-        report = _integer_feasibility(inst, sol.x, args.tau)
-    else:
-        eps = sol.epsilon if sol.epsilon else 1e-8
-        tau = args.tau if args.tau > 0 else kkt_tolerance(inst, sol.x, eps)
-        report = verify_kkt(inst, sol, tau).to_dict()
-    print(json.dumps(report))
-    return 0 if report["verdict"] else 3
+    eps = sol.epsilon if sol.epsilon else 1e-8
+    tau = args.tau if args.tau > 0 else kkt_tolerance(inst, sol.x, eps)
+    report = verify_kkt(inst, sol, tau)
+    print(json.dumps(report.to_dict()))
+    return 0 if report.verdict else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--mode", choices=["int", "cont"], default="cont")
+    gen.add_argument("--mode", choices=MODES, default="cont")
     gen.add_argument("--scale", type=float, default=10**6,
                      help="integer grid resolution for --mode int")
     gen.add_argument("--out", required=True)
@@ -304,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="solve an instance file")
     slv.add_argument("instance")
-    slv.add_argument("--solver", choices=["decomp", "greedy", "hull"], default="decomp")
+    slv.add_argument("--solver", choices=SOLVERS, default="decomp")
     slv.add_argument("--epsilon", type=float, default=1e-8)
     slv.add_argument("--time-limit-s", type=float, default=None)
     slv.add_argument("--out", default=None)

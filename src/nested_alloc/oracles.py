@@ -1,6 +1,6 @@
 """Independent correctness machinery: greedy and brute-force integer solvers,
-a heap greedy for one box-constrained RAP, first-order optimality
-verification, active-constraint counting.
+a heap greedy for one box-constrained RAP, a single-exchange optimality check
+for integer and continuous solutions alike, active-constraint counting.
 
 The greedy solver allocates one unit at a time to the variable with the
 cheapest marginal cost among those that can still be incremented without
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,22 +153,23 @@ def rap_integer_greedy(objective, idx, c, d, target) -> np.ndarray:
 
 @dataclass
 class KktReport:
-    """First-order optimality check of a continuous solution.
+    """Single-exchange optimality check of a solution, one schema for both
+    variable modes.
 
-    `max_within_block_gap` is the largest marginal-cost mismatch between
-    adjacent free variables inside a block; `boundary_violations` lists
-    breakpoint positions s[i] where neither an equal marginal nor an active
-    bound explains a marginal jump; `box_pair_violations` lists within-block
-    positions whose one-sided bound conditions fail.
+    `prefix_slacks` holds a_j minus the partial sum at each interior
+    breakpoint and `sum_gap` is |sum x - B|. `max_exchange_gap` is the
+    largest amount by which a feasible exchange's decrease marginal exceeds
+    its increase marginal, 0.0 when none does. `bad_group_start` is the
+    0-based first variable of the first group holding an exchange whose gap
+    exceeds tau, None when no group does.
     """
 
-    max_within_block_gap: float
-    boundary_violations: list[int]
     prefix_slacks: np.ndarray
+    sum_gap: float
+    feasible: bool
+    max_exchange_gap: float
+    bad_group_start: int | None
     verdict: bool
-    box_pair_violations: list[int] = field(default_factory=list)
-    feasible: bool = True
-    sum_gap: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -176,100 +177,90 @@ class KktReport:
 
     def to_dict(self) -> dict:
         return {
-            "max_within_block_gap": self.max_within_block_gap,
-            "boundary_violations": self.boundary_violations,
             "prefix_slacks": np.asarray(self.prefix_slacks).tolist(),
-            "verdict": self.verdict,
-            "box_pair_violations": self.box_pair_violations,
-            "feasible": self.feasible,
             "sum_gap": self.sum_gap,
+            "feasible": self.feasible,
+            "max_exchange_gap": self.max_exchange_gap,
+            "bad_group_start": self.bad_group_start,
+            "verdict": self.verdict,
         }
 
 
 def verify_kkt(inst: NestedInstance, sol: Solution, tau: float) -> KktReport:
-    """Check the equal-marginal conditions of a continuous solution.
+    """Check that no single exchange improves a solution, in either mode.
 
-    Inside a block every free adjacent pair must share its marginal within
-    tau; pairs involving an active box bound degrade to the one-sided
-    inequality the bound multiplier allows. Across a breakpoint the left
-    marginal may drop below the right one only when that partial-sum bound is
-    active (within y_tol = max(1e-8 (1 + B), tau)). Box bounds are judged
-    within 1e-9 (1 + |x_i|).
+    The feasible set is a box-constrained base polyhedron of a chain, so a
+    feasible x is optimal iff no feasible move of mass from a variable j to a
+    variable i lowers the cost. The move is feasible when x_j can decrease,
+    x_i can increase and, if i < j, every cap between them has room. With
+    the variables grouped at the tight caps, that is when i's group is j's
+    or a later one. So the check fails when a group's largest decrease
+    marginal exceeds, by more than tau, the smallest increase marginal over
+    that group and every later one. Continuous solutions are priced by f',
+    integer ones by unit marginals: marg(x) down, marg(x + 1) up. A NaN
+    marginal never violates.
+
+    Continuous tolerances: caps count as tight, and the partial sums and the
+    total as met, within y_tol = max(1e-8 (1 + B), tau); box bounds are
+    judged within 1e-9 (1 + |x_i|). Integer solutions take tau for each of
+    these and for the integrality of every coordinate.
     """
-    if not inst.objective.differentiable:
+    integer = inst.mode is Mode.INTEGER
+    if not (integer or inst.objective.differentiable):
         raise ValueError("verification needs a derivative")
     if sol.x is None:
         raise ValueError("nothing to verify: solution carries no allocation")
     x = np.asarray(sol.x, dtype=np.float64)
-    y_tol = max(1e-8 * (1.0 + abs(inst.B)), tau)
-    bound_tol = 1e-9 * (1.0 + np.abs(x))
+    if integer:
+        y_tol = feas_tol = bound_tol = tau
+    else:
+        y_tol = max(1e-8 * (1.0 + abs(inst.B)), tau)
+        feas_tol = max(1e-9 * (1.0 + abs(inst.B)), y_tol)
+        bound_tol = 1e-9 * (1.0 + np.abs(x))
 
     y = prefix_sums(inst, x)
     slacks = inst.a - y[: inst.m - 1]
     sum_gap = float(abs(y[-1] - inst.B))
-    feas_tol = 1e-9 * (1.0 + abs(inst.B))
     # each box end widened or narrowed by bound_tol once, in one buffer, and
     # reduced before the next is built
     end = inst.lower - bound_tol
     in_box = bool(np.all(x >= end))
-    at_lo = x <= np.add(inst.lower, bound_tol, out=end)
+    can_dec = x > np.add(inst.lower, bound_tol, out=end)
     in_box &= bool(np.all(x <= np.add(inst.upper, bound_tol, out=end)))
-    at_hi = x >= np.subtract(inst.upper, bound_tol, out=end)
+    can_inc = x < np.subtract(inst.upper, bound_tol, out=end)
     del end, bound_tol
     feasible = (
-        sum_gap <= max(feas_tol, y_tol)
-        and bool(np.all(slacks >= -max(feas_tol, y_tol)))
+        sum_gap <= feas_tol
+        and bool(np.all(slacks >= -feas_tol))
         and in_box
+        and not (integer and np.any(np.abs(x - np.round(x)) > tau))
     )
 
-    g = inst.objective.derivative_at(np.arange(inst.n), x)
-    free = ~at_lo & ~at_hi
-
-    # one pass over the adjacent pairs (j, j+1), indexed by the left j
-    left = inst.s[: inst.m - 1] - 1  # 0-based left index of each interior breakpoint
-    is_boundary = np.zeros(inst.n - 1, dtype=bool)
-    is_boundary[left] = True
-    active = np.zeros(inst.n - 1, dtype=bool)
-    active[left] = slacks <= y_tol
-    both_free = free[:-1] & free[1:]
-    del free
-    # inf - inf at poles gives NaN: a NaN gap is never counted, a NaN side
-    # never violates
+    idx = np.arange(inst.n)
+    if integer:
+        marg = inst.objective.marginal_map(idx)
+        dec, inc = marg(x), marg(x + 1.0)
+    else:
+        dec = inc = inst.objective.derivative_at(idx, x)
+    del idx
+    # group g runs from starts[g] to the next tight cap; fmax and fmin skip NaN
+    starts = np.concatenate([[0], inst.s[: inst.m - 1][slacks <= y_tol]])
+    max_dec = np.fmax.reduceat(np.where(can_dec, dec, -np.inf), starts)
+    del can_dec, dec
+    min_inc = np.fmin.reduceat(np.where(can_inc, inc, np.inf), starts)
+    del can_inc, inc
+    min_inc = np.fmin.accumulate(min_inc[::-1])[::-1]  # over this group and later
     with np.errstate(invalid="ignore"):
-        # multiplier range visible through each variable: free pins it, an
-        # active bound leaves one side open
-        lam_min = np.where(at_lo, -np.inf, g)  # lam >= lam_min
-        lam_max = np.where(at_hi, np.inf, g)  # lam <= lam_max
-        del at_lo, at_hi
-        # v1: the left multiplier exceeds the right one; v2: the right the left
-        v1 = lam_min[:-1] > lam_max[1:] + tau
-        v2 = lam_min[1:] > lam_max[:-1] + tau
-        del lam_min, lam_max
-        gap = np.subtract(g[:-1], g[1:])
-        del g
-        np.abs(gap, out=gap)
-
-    # across a breakpoint the left multiplier may never exceed the right one;
-    # a tight bound allows an upward jump, an inactive one pins both sides
-    boundary_bad = is_boundary & (v1 | (~active & v2))
-    # inside a block free pairs share a marginal, a pair at a bound keeps
-    # the one-sided inequality its bound multiplier allows
-    box_bad = ~is_boundary & np.where(both_free, gap > tau, v1 | v2)
-    counted = both_free & (~is_boundary | ~(v1 | active))
-    counted &= ~np.isnan(gap)
-    max_gap = float(np.max(gap, where=counted, initial=0.0))
-    boundary_violations = (np.flatnonzero(boundary_bad) + 1).tolist()  # 1-based s[i]
-    box_violations = (np.flatnonzero(box_bad) + 1).tolist()
-
-    verdict = feasible and max_gap <= tau and not boundary_violations and not box_violations
+        gap = max_dec - min_inc
+    bad = gap > tau
+    bad_start = int(starts[np.argmax(bad)]) if bad.any() else None
     return KktReport(
-        max_within_block_gap=max_gap,
-        boundary_violations=boundary_violations,
         prefix_slacks=slacks,
-        verdict=verdict,
-        box_pair_violations=box_violations,
-        feasible=feasible,
         sum_gap=sum_gap,
+        feasible=feasible,
+        max_exchange_gap=float(np.fmax.reduce(gap, initial=0.0)),
+        bad_group_start=bad_start,
+        verdict=feasible and bad_start is None,
     )
 
 
@@ -283,8 +274,11 @@ def count_active_constraints(inst: NestedInstance, x: np.ndarray, tol: float) ->
 
 def kkt_tolerance(inst: NestedInstance, x: np.ndarray | None, eps: float) -> float:
     """Marginal-gap tolerance matched to coordinate accuracy eps: ten times
-    the steepest local curvature along the solution."""
+    the steepest local curvature along the solution; 0.0 for integer
+    instances, whose unit marginals are compared exactly."""
     if x is None:
         raise ValueError("nothing to verify: solution carries no allocation")
+    if inst.mode is Mode.INTEGER:
+        return 0.0
     lip = float(np.max(inst.objective.second_derivative_at(np.arange(inst.n), np.asarray(x))))
     return 10.0 * lip * eps

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nested_alloc import read_instance, read_solution, solve
+from nested_alloc.model import objective_value
 from nested_alloc.cli import main
 
 
@@ -205,6 +206,46 @@ class TestVerify:
         assert report["sum_gap"] == 0.0
         assert run(["verify", inst, sol, "--tau", 0.5]) == 0
 
+    def test_bound_conditions_chain(self, tmp_path, capsys):
+        """(1, 0, 3) passes every adjacent-pair condition, but moving mass
+        from the third variable to the first lowers the cost from 19 to 17."""
+        doc = {
+            "n": 3, "m": 1, "s": [3], "a": [], "B": 4.0,
+            "lower": [0.0, 0.0, 0.0], "upper": [10.0, 10.0, 10.0], "mode": "continuous",
+            "objective": {"family": "quadratic", "params": {"w": [1, 1, 1], "t": [0, -3, 0]}},
+        }
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"status": "optimal", "x": [1.0, 0.0, 3.0], "objective": 19.0}))
+        assert run(["verify", inst, sol, "--tau", 0.0]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["feasible"] and report["bad_group_start"] == 0
+        assert run(["solve", inst, "--out", sol]) == 0
+        assert run(["verify", inst, sol, "--tau", 0.0]) == 0
+
+    def test_integer_unit_move_fails(self, tmp_path):
+        """A feasible one-unit move away from an integer solve's answer that
+        raises the cost is refused; the answer itself passes."""
+        inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+        assert run(["gen", "--family", "fuelopt", "--n", 12, "--m", 12, "--seed", 0,
+                    "--mode", "int", "--scale", 100, "--out", inst]) == 0
+        assert run(["solve", inst, "--out", sol]) == 0
+        assert run(["verify", inst, sol, "--tau", 0.0]) == 0
+        problem = read_instance(inst.read_bytes())
+        x = read_solution(sol.read_bytes()).x
+        # the last unit of the first element that can give one moves to the
+        # next element that can take one: no partial sum grows
+        j = int(np.flatnonzero(x > problem.lower)[0])
+        i = j + 1 + int(np.flatnonzero(x[j + 1:] < problem.upper[j + 1:])[0])
+        y = x.copy()
+        y[j] -= 1.0
+        y[i] += 1.0
+        assert objective_value(problem, y) > objective_value(problem, x)
+        sol.write_text(json.dumps({"status": "optimal", "x": y.tolist(),
+                                   "objective": objective_value(problem, y)}))
+        assert run(["verify", inst, sol, "--tau", 0.0]) == 3
+
     def test_dimension_mismatch(self, quad_instance_file, tmp_path):
         sol = tmp_path / "sol.json"
         sol.write_text(json.dumps({"status": "optimal", "x": [1.0], "objective": 1.0}))
@@ -303,6 +344,17 @@ class TestBench:
         path.write_text(json.dumps({"families": ["f"], "n_list": [4], "trials": 1,
                                     "seed": 0, "bogus": True}))
         assert run(["bench", path]) == 1
+
+    @pytest.mark.parametrize("key,value", [("mode", "integer"), ("solver", "greedy2"),
+                                           ("families", ["f", "bogus"])],
+                             ids=["mode", "solver", "families"])
+    def test_unknown_choice_rejected(self, tmp_path, capsys, key, value):
+        """Such values used to run continuous solves labelled `integer`,
+        write only `error` rows, or die with a traceback."""
+        cfg, out = self.make_config(tmp_path, trials=1, **{key: value})
+        assert run(["bench", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not out.exists()
 
     def test_nonpositive_time_limit_in_config_rejected(self, tmp_path, capsys):
         """Such a limit used to make every row `timeout` and exit 0."""

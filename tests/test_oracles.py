@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from nested_alloc import (
     verify_kkt,
 )
 from nested_alloc.generators import InstanceFamily
-from nested_alloc.model import prefix_sums
+from nested_alloc.model import objective_value, prefix_sums
 from nested_alloc.oracles import KktReport, count_active_constraints
 
 from conftest import small_integer_instance
@@ -128,7 +131,7 @@ class TestVerifyKkt:
         sol = Solution(np.array([1.0, 3.0]), 10.0, Status.OPTIMAL, 1e-8)
         report = verify_kkt(inst, sol, tau=1e-6)
         # marginals (2, 6) jump upward across the breakpoint, bound is tight
-        assert report.passed and not report.boundary_violations
+        assert report.passed and report.bad_group_start is None
         assert report.prefix_slacks[0] == 0.0
 
     def test_fails_on_prefix_violation(self):
@@ -145,7 +148,7 @@ class TestVerifyKkt:
         )
         sol = Solution(np.array([2.0, 2.0, 2.0]), 12.0, Status.OPTIMAL, 1e-8)
         report = verify_kkt(inst, sol, tau=1e-9)
-        assert report.passed and report.max_within_block_gap == 0.0
+        assert report.passed and report.max_exchange_gap == 0.0
 
     def test_wrong_direction_jump_fails(self):
         # marginal drops across an inactive boundary: not optimal
@@ -153,7 +156,22 @@ class TestVerifyKkt:
         sol = Solution(np.array([3.0, 1.0]), 10.0, Status.OPTIMAL, 1e-8)
         report = verify_kkt(inst, sol, tau=1e-6)
         assert not report.passed
-        assert report.boundary_violations == [1]
+        assert report.bad_group_start == 0 and report.max_exchange_gap == 4.0
+
+    def test_bound_conditions_chain(self):
+        """(1, 0, 3) has marginals 2, 6, 6 with the middle one at its floor.
+        Every adjacent pair meets some multiplier, yet moving mass from the
+        third variable to the first lowers the cost from 19 to the optimum's
+        17 at (2, 0, 2)."""
+        inst = NestedInstance(
+            n=3, m=1, s=[3], a=[], B=4.0, lower=np.zeros(3), upper=np.full(3, 10.0),
+            objective=ObjectiveSpec(Family.QUADRATIC, {"w": np.ones(3), "t": [0.0, -3.0, 0.0]}),
+            mode=Mode.CONTINUOUS,
+        )
+        bad = verify_kkt(inst, Solution(np.array([1.0, 0.0, 3.0]), 19.0, Status.OPTIMAL), 1e-6)
+        assert not bad.passed and bad.feasible and bad.max_exchange_gap == 4.0
+        good = verify_kkt(inst, Solution(np.array([2.0, 0.0, 2.0]), 17.0, Status.OPTIMAL), 0.0)
+        assert good.passed
 
     def test_perturbation_flips_verdict(self):
         rng = np.random.Generator(np.random.PCG64(15))
@@ -208,94 +226,74 @@ class TestVerifyKkt:
             verify_kkt(inst, sol, 1e-6)
 
 
-def _verify_kkt_reference(
-    inst: NestedInstance,
-    sol: Solution,
-    tau: float,
-    y_tol: float | None = None,
-    bound_tol: float | None = None,
-) -> KktReport:
-    """verify_kkt as the per-pair loop it was before vectorization, the
-    reference the vectorized pass must match field for field."""
-    if not inst.objective.differentiable:
-        raise ValueError("verification needs a derivative")
-    if sol.x is None:
-        raise ValueError("nothing to verify: solution carries no allocation")
+def _exchange_reference(inst: NestedInstance, sol: Solution, tau: float) -> KktReport:
+    """verify_kkt by brute force: every single exchange j -> i (j loses mass,
+    i gains it) tried one pair at a time, O(n^2). A move with i < j needs
+    room at every cap between them. Marginals are f' for continuous
+    solutions and the unit marginals f(x) - f(x - 1) down, f(x + 1) - f(x)
+    up for integer ones. The reference the grouped pass must match field for
+    field."""
     x = np.asarray(sol.x, dtype=np.float64)
-    if y_tol is None:
+    n, obj = inst.n, inst.objective
+    integer = inst.mode is Mode.INTEGER
+    if integer:
+        y_tol = feas_tol = tau
+        bound_tol = np.full(n, tau)
+        down = np.array([obj.marginal(i, x[i]) for i in range(n)])
+        up = np.array([obj.marginal(i, x[i] + 1.0) for i in range(n)])
+    else:
         y_tol = max(1e-8 * (1.0 + abs(inst.B)), tau)
-    if bound_tol is None:
+        feas_tol = max(1e-9 * (1.0 + abs(inst.B)), y_tol)
         bound_tol = 1e-9 * (1.0 + np.abs(x))
+        down = up = obj.derivative_at(np.arange(n), x)
 
     y = prefix_sums(inst, x)
     slacks = inst.a - y[: inst.m - 1]
     sum_gap = float(abs(y[-1] - inst.B))
-    feas_tol = 1e-9 * (1.0 + abs(inst.B))
     feasible = (
-        sum_gap <= max(feas_tol, y_tol)
-        and bool(np.all(slacks >= -max(feas_tol, y_tol)))
+        sum_gap <= feas_tol
+        and bool(np.all(slacks >= -feas_tol))
         and bool(np.all(x >= inst.lower - bound_tol))
         and bool(np.all(x <= inst.upper + bound_tol))
+        and not (integer and np.any(np.abs(x - np.round(x)) > tau))
     )
 
-    g = inst.objective.derivative_at(np.arange(inst.n), x)
-    at_lo = x <= inst.lower + bound_tol
-    at_hi = x >= inst.upper - bound_tol
-    free = ~at_lo & ~at_hi
-
-    # multiplier range visible through each variable: free pins it, an active
-    # bound leaves one side open
-    lam_min = np.where(at_lo, -np.inf, g)  # lam >= lam_min
-    lam_max = np.where(at_hi, np.inf, g)  # lam <= lam_max
-
-    boundary_pos = set((inst.s[: inst.m - 1] - 1).tolist())  # 0-based left index
-    active = slacks <= y_tol
-
-    max_gap = 0.0
-    boundary_violations: list[int] = []
-    box_violations: list[int] = []
-    for j in range(inst.n - 1):
-        two_sided_tol = tau
-        if j in boundary_pos:
-            i = int(np.searchsorted(inst.s, j + 1))  # constraint index, 0-based
-            # left multiplier must not exceed the right one
-            if lam_min[j] > lam_max[j + 1] + tau:
-                boundary_violations.append(j + 1)  # report 1-based position s[i]
-                continue
-            if active[i]:
-                continue  # jump allowed, bound is tight
-            # inactive bound: same multiplier on both sides
-            if lam_min[j + 1] > lam_max[j] + tau:
-                boundary_violations.append(j + 1)
-            if free[j] and free[j + 1]:
-                max_gap = max(max_gap, abs(float(g[j] - g[j + 1])))
+    caps = inst.s[: inst.m - 1]  # cap k bounds the sum of variables 0..caps[k] - 1
+    tight = slacks <= y_tol
+    max_gap, bad_j = 0.0, []
+    for j in range(n):
+        if not x[j] > inst.lower[j] + bound_tol[j]:
             continue
-        if free[j] and free[j + 1]:
-            gap = abs(float(g[j] - g[j + 1]))
-            max_gap = max(max_gap, gap)
-            if gap > two_sided_tol:
-                box_violations.append(j + 1)
-        else:
-            if lam_min[j] > lam_max[j + 1] + tau or lam_min[j + 1] > lam_max[j] + tau:
-                box_violations.append(j + 1)
-
-    verdict = feasible and max_gap <= tau and not boundary_violations and not box_violations
+        for i in range(n):
+            if i == j or not x[i] < inst.upper[i] - bound_tol[i]:
+                continue
+            if np.any(tight & (i < caps) & (caps <= j)):
+                continue  # the move would raise a tight partial sum
+            with np.errstate(invalid="ignore"):  # inf - inf at poles
+                gap = down[j] - up[i]
+            if gap > tau:  # never true for NaN
+                bad_j.append(j)
+            if gap > max_gap:
+                max_gap = float(gap)
+    bad_start = None
+    if bad_j:  # the first variable after the last tight cap at or before j
+        j = min(bad_j)
+        bad_start = int(max(caps[tight & (caps <= j)], default=0))
     return KktReport(
-        max_within_block_gap=max_gap,
-        boundary_violations=boundary_violations,
         prefix_slacks=slacks,
-        verdict=verdict,
-        box_pair_violations=box_violations,
-        feasible=feasible,
         sum_gap=sum_gap,
+        feasible=feasible,
+        max_exchange_gap=max_gap,
+        bad_group_start=bad_start,
+        verdict=feasible and bad_start is None,
     )
 
 
 def _same_report(inst, x, tau) -> dict:
-    """verify_kkt and the reference loop on allocation x; returns the report."""
+    """verify_kkt and the brute-force reference on allocation x; returns the
+    report."""
     sol = Solution(np.asarray(x, dtype=np.float64), float("nan"), Status.OPTIMAL, 1e-8)
-    with np.errstate(invalid="ignore"):  # the loop subtracts inf - inf at poles
-        want = _verify_kkt_reference(inst, sol, tau).to_dict()
+    want = _exchange_reference(inst, sol, tau).to_dict()
     got = verify_kkt(inst, sol, tau).to_dict()
     assert got == want
     return got
@@ -333,7 +331,7 @@ def _solved_cases():
 class TestVerifyKktMatchesLoop:
     def test_solved_and_perturbed_solutions(self):
         rng = np.random.Generator(np.random.PCG64(7))
-        seen = {"pass": 0, "boundary": 0, "box": 0, "active_jump": 0}
+        seen = {"pass": 0, "exchange": 0, "infeasible": 0, "active_jump": 0}
         for inst, x in _solved_cases():
             tau = kkt_tolerance(inst, x, 1e-9)
             for t in (tau, 0.0, 1e-3 * tau):
@@ -356,8 +354,8 @@ class TestVerifyKktMatchesLoop:
             for bad in (pinned, shaken, x[::-1].copy()):
                 for t in (tau, 0.0):
                     rep = _same_report(inst, bad, t)
-                    seen["boundary"] += bool(rep["boundary_violations"])
-                    seen["box"] += bool(rep["box_pair_violations"])
+                    seen["exchange"] += rep["bad_group_start"] is not None
+                    seen["infeasible"] += not rep["feasible"]
         assert all(v > 0 for v in seen.values()), seen
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -383,13 +381,17 @@ class TestVerifyKktMatchesLoop:
             lower=np.zeros(n), upper=np.full(n, 2.0),
             objective=ObjectiveSpec(family, params), mode=Mode.CONTINUOUS,
         )
-        # adjacent zeros give g = -inf on both sides and a NaN gap
+        # a variable at its pole with room to grow has f' = -inf: moving
+        # mass to it from its group or an earlier one gains without bound
         for x in ([0.0, 0.0, 0.5, 0.5, 0.0, 1.0, 0.0, 2.0],
-                  [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0],
-                  np.zeros(n)):
+                  [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0]):
             for tau in (0.0, 1e-6, np.inf):
                 rep = _same_report(inst, x, tau)
-                assert np.isfinite(rep["max_within_block_gap"])
+                assert rep["max_exchange_gap"] == np.inf
+                assert rep["verdict"] == (tau == np.inf)
+        # nothing can decrease, so no exchange exists
+        rep = _same_report(inst, np.zeros(n), 0.0)
+        assert rep["max_exchange_gap"] == 0.0 and not rep["feasible"]
 
     def test_nan_marginals(self):
         nan_at = {1, 2, 5}
@@ -413,11 +415,47 @@ class TestVerifyKktMatchesLoop:
             objective=quad_spec(4), mode=Mode.CONTINUOUS,
         )
         rep = _same_report(inst, [1.0, 2.0, 3.0, 4.0], 1e-6)
-        assert rep["boundary_violations"] == [2, 3]
-        assert rep["max_within_block_gap"] == 2.0
+        assert rep["bad_group_start"] == 1 and rep["max_exchange_gap"] == 4.0
         # a downward jump is a violation even across the tight bound
-        rep = _same_report(inst, [1.0, 0.5, 0.5, 8.0], 1e-6)
-        assert rep["boundary_violations"] == [1, 3]
+        rep = _same_report(inst, [1.0, 0.25, 4.75, 4.0], 1e-6)
+        assert rep["feasible"] and rep["bad_group_start"] == 0
+        assert rep["max_exchange_gap"] == 9.0
+
+    def test_integer_solves_and_unit_moves(self):
+        """Greedy optima of small integer instances pass at tau 0, CUSTOM
+        objectives without a derivative included; every feasible one-unit
+        move away from them is judged as the brute force judges it, and
+        passes only when it keeps the optimal cost."""
+        families = [Family.F, Family.CRASHING, Family.FUELOPT, Family.QUADRATIC]
+        seen = {"solved": 0, "custom": 0, "moved": 0, "rejected": 0}
+        for seed in range(60):
+            inst = small_integer_instance(seed, families[seed % 4])
+            if seed % 5 == 0:  # the same costs through value_fn alone
+                obj = inst.objective
+                inst = replace(inst, objective=ObjectiveSpec(
+                    Family.CUSTOM, {}, value_fn=obj.value))
+            sol = greedy_solve(inst)
+            if sol.x is None:
+                continue
+            seen["solved"] += 1
+            seen["custom"] += inst.objective.family is Family.CUSTOM
+            assert _same_report(inst, sol.x, 0.0)["verdict"]
+            for j, i in itertools.permutations(range(inst.n), 2):
+                y = sol.x.copy()
+                y[j] -= 1.0
+                y[i] += 1.0
+                feasible = (
+                    np.all(y >= inst.lower) and np.all(y <= inst.upper)
+                    and np.all(prefix_sums(inst, y)[: inst.m - 1] <= inst.a)
+                )
+                if not feasible:
+                    continue
+                seen["moved"] += 1
+                rep = _same_report(inst, y, 0.0)
+                seen["rejected"] += not rep["verdict"]
+                if rep["verdict"]:
+                    assert objective_value(inst, y) == pytest.approx(sol.objective, rel=1e-12)
+        assert all(v > 0 for v in seen.values()), seen
 
 
 class TestCountActive:
