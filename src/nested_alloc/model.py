@@ -6,8 +6,9 @@ a_1 <= ... <= a_{m-1} on the partial sums of x up to a set of m breakpoints
 (the last breakpoint is n and carries the total B). Variables are either all
 integer or all continuous.
 
-Objective families evaluate vectorized over variable indices. For the
-continuous multiplier search, `ObjectiveSpec.inverse_map` gathers a family's
+Objective families evaluate vectorized over variable indices, without
+domain checks: the pole families give +/-inf at 0. For the continuous
+multiplier search, `ObjectiveSpec.inverse_map` gathers a family's
 per-variable constants once and returns x(lam) = (f')^-1(lam) as a function
 of one multiplier per segment, or of one per element at chosen positions.
 `ObjectiveSpec.multiplier_coordinate` names the coordinate h(lam) in which
@@ -16,7 +17,7 @@ integer kernel probes the same maps at single elements and prices units
 with `ObjectiveSpec.marginal_map`, which gathers the constants once per
 kernel call and evaluates f(t) - f(t - 1) in closed form; the greedy oracles
 price through its one-off case, `marginal`. Costs go through
-`ObjectiveSpec.value_map`, whose one-off case is `value_at`.
+`ObjectiveSpec.value_at` alone.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class ValidationError(ValueError):
         super().__init__(f"{field_name}: {message}")
 
 
-class DomainError(ValueError):
-    """Objective evaluated outside the domain of its formula."""
-
-
 _PARAM_KEYS = {
     Family.F: ("p",),
     Family.CRASHING: ("k", "p"),
@@ -103,10 +100,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class ObjectiveSpec:
     """Separable objective: a family tag plus per-variable parameter arrays.
 
-    CUSTOM objectives supply `value_fn(i, x)` and, optionally,
-    `derivative_fn(i, x)`. A CUSTOM objective without a derivative can only
-    be used with integer variables. Fuelopt's per-variable constants p c^4
-    and (3 p c^4)^(1/4) are built once, on first use, and every map and
+    Every evaluation is vectorized over variable indices; `marginal` is the
+    one scalar entry, for the greedy oracles. CUSTOM objectives supply
+    `value_fn(i, x)` and, optionally, `derivative_fn(i, x)`, called per
+    point. A CUSTOM objective without a derivative can only be used with
+    integer variables. Fuelopt's per-variable constants p c^4 and
+    (3 p c^4)^(1/4) are built once, on first use, and every map and
     derivative gathers them.
     """
 
@@ -141,38 +140,10 @@ class ObjectiveSpec:
     def differentiable(self) -> bool:
         return self.family is not Family.CUSTOM or self.derivative_fn is not None
 
-    # -- scalar API ---------------------------------------------------------
-
-    def value(self, i: int, x: float) -> float:
-        """Cost f_i(x). Raises DomainError left of a pole; returns inf at it."""
-        if self.family in POLE_FAMILIES:
-            if x < 0:
-                raise DomainError(f"f_{i} undefined for x={x} < 0")
-            if x == 0:
-                return math.inf
-        if self.family is Family.CUSTOM:
-            return float(self.value_fn(i, float(x)))
-        return float(self.value_at(np.array([i]), np.array([float(x)]))[0])
-
-    def derivative(self, i: int, x: float) -> float:
-        """Marginal cost f'_i(x)."""
-        if not self.differentiable:
-            raise ValueError("objective has no derivative")
-        if self.family in POLE_FAMILIES:
-            if x < 0:
-                raise DomainError(f"f'_{i} undefined for x={x} < 0")
-            if x == 0:
-                return -math.inf
-        if self.family is Family.CUSTOM:
-            return float(self.derivative_fn(i, float(x)))
-        return float(self.derivative_at(np.array([i]), np.array([float(x)]))[0])
-
     def marginal(self, i: int, t: float) -> float:
         """Unit marginal f_i(t) - f_i(t - 1), `marginal_map` at one element and
-        bit for bit its value; like the maps, it makes no domain check."""
+        bit for bit its value."""
         return float(self.marginal_map(np.array([i]))(np.array([float(t)]))[0])
-
-    # -- vectorized API (no domain checks; poles produce +/-inf) ------------
 
     @cached_property
     def _fuel_constants(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +154,22 @@ class ObjectiveSpec:
         return p * c4, (3.0 * p * c4) ** 0.25
 
     def value_at(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.value_map(idx)(x)
+        """Costs f_idx(x), idx broadcast against x, so rows of x price several
+        points of each element. CUSTOM objectives call `value_fn` per point."""
+        fam = self.family
+        if fam is Family.CUSTOM:
+            i, x = np.broadcast_arrays(idx, x)
+            vals = [self.value_fn(int(j), float(v)) for j, v in zip(i.flat, x.flat)]
+            return np.array(vals).reshape(x.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if fam is Family.F:
+                return 0.25 * x**4 + self.params["p"][idx] * x
+            if fam is Family.CRASHING:
+                return self.params["k"][idx] + self.params["p"][idx] / x
+            if fam is Family.FUELOPT:
+                return self._fuel_constants[0][idx] / x**3
+            w, t = self.params["w"][idx], self.params["t"][idx]
+            return w * (x - t) ** 2
 
     def derivative_at(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         fam = self.family
@@ -222,45 +208,6 @@ class ObjectiveSpec:
                 return 2.0 * self.params["w"][idx] * np.ones_like(x)
         raise ValueError("no closed-form curvature for custom objectives")
 
-    def value_map(
-        self, idx: np.ndarray
-    ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
-        """Costs f_{idx[k]}(x) with the family's constants gathered once.
-
-        The returned `val(x, k=None)` evaluates the elements at positions k of
-        `idx` (all of them when k is None); x broadcasts against them, so rows
-        of x price several points of each element. `value_at` is its one-off
-        case, so both give the same values bit for bit. CUSTOM objectives call
-        `value_fn` per point.
-        """
-        fam = self.family
-        if fam is Family.CUSTOM:
-
-            def custom(x, k=None):
-                i, x = np.broadcast_arrays(_pick(idx, k), x)
-                vals = [self.value_fn(int(j), float(v)) for j, v in zip(i.flat, x.flat)]
-                return np.array(vals).reshape(x.shape)
-
-            return custom
-        if fam is Family.F:
-            p = self.params["p"][idx]
-            expr = lambda x, k: 0.25 * x**4 + _pick(p, k) * x
-        elif fam is Family.CRASHING:
-            kc, p = self.params["k"][idx], self.params["p"][idx]
-            expr = lambda x, k: _pick(kc, k) + _pick(p, k) / x
-        elif fam is Family.FUELOPT:
-            pc4 = self._fuel_constants[0][idx]
-            expr = lambda x, k: _pick(pc4, k) / x**3
-        else:
-            w, t = self.params["w"][idx], self.params["t"][idx]
-            expr = lambda x, k: _pick(w, k) * (x - _pick(t, k)) ** 2
-
-        def val(x, k=None):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return expr(x, k)
-
-        return val
-
     def marginal_map(
         self, idx: np.ndarray
     ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
@@ -276,13 +223,17 @@ class ObjectiveSpec:
         w (2 (t - T) - 1). Each is a chain of roundings monotone in t, so the
         computed marginals never decrease in t (right of the pole). The pole
         families give -inf at t = 1 and +inf at t = 0, as the costs' difference
-        does. CUSTOM objectives difference `value_fn` per point. `marginal` is
+        does. CUSTOM objectives difference two `value_at` costs. `marginal` is
         its one-off case.
         """
         fam = self.family
         if fam is Family.CUSTOM:
-            val = self.value_map(idx)
-            return lambda t, k=None: val(t, k) - val(t - 1.0, k)
+
+            def marg(t, k=None):
+                i = _pick(idx, k)
+                return self.value_at(i, t) - self.value_at(i, t - 1.0)
+
+            return marg
         if fam is Family.F:
             p = self.params["p"][idx]
 

@@ -569,10 +569,6 @@ def solve_segments_continuous(
     top = hit_hi & box_top
     if top.any():
         np.copyto(x_fin, e_hi, where=np.repeat(top, seg_len))
-    # the bracket width the bisection budget allows, and the end moved by the
-    # last interpolation step (1 hi, 0 lo, -1 none)
-    max_width = _BISECTION_BUDGET * (lam_hi - lam_lo)
-    last_hi = np.full(seg_tgt.size, -1, dtype=np.int8)
 
     def finalize(sel):
         """Repair converged segments: fill each residual in index order from
@@ -626,6 +622,11 @@ def solve_segments_continuous(
 
     it = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the bracket width the bisection budget allows (NaN for a bracket
+        # [-inf, -inf], which hit at once), and the end moved by the last
+        # interpolation step (1 hi, 0 lo, -1 none)
+        max_width = _BISECTION_BUDGET * (lam_hi - lam_lo)
+        last_hi = np.full(seg_tgt.size, -1, dtype=np.int8)
         while True:
             lam = 0.5 * (lam_lo + lam_hi)
             # a segment is done at a hit or once its ends are adjacent doubles

@@ -81,15 +81,15 @@ def tighten(inst: NestedInstance) -> WorkingBounds:
     # capacities beyond the total act like the total; the clamp keeps the
     # unrolled recurrence finite under infinite upper bounds
     block_cap = np.minimum(np.add.reduceat(d_shift, P[:-1]), max(b_shift, 0.0))
-    cum_cap = np.cumsum(block_cap)
-    abar = np.empty(inst.m + 1)
-    abar[0] = 0.0
-    abar[-1] = b_shift
-    if inst.m > 1:
-        # unrolled recurrence: abar[i] = cum_cap[i] + min_{j<=i}(capped[j] - cum_cap[j])
-        # with the j = 0 term (capacity alone, no bound) entering as 0
-        g = np.concatenate([[0.0], capped - cum_cap[: inst.m - 1]])
-        abar[1:-1] = cum_cap[: inst.m - 1] + np.minimum.accumulate(g)[1:]
+    # capacity and bound through breakpoint i, with i = 0 (no bound) as 0
+    cum_cap = np.concatenate([[0.0], np.cumsum(block_cap)[:-1]])
+    bound = np.concatenate([[0.0], capped])
+    # unrolled recurrence: abar[i] = min_{j<=i}(bound[j] + cum_cap[i] - cum_cap[j]),
+    # read from the latest minimizing j, so a binding bound (j = i) is taken
+    # exactly rather than rounded at the spacing of cum_cap, up to m B
+    g = bound - cum_cap
+    j = np.maximum.accumulate(np.where(g <= np.minimum.accumulate(g), np.arange(inst.m), 0))
+    abar = np.append(bound[j] + (cum_cap - cum_cap[j]), b_shift)
     return WorkingBounds(dbar=d_shift, abar=abar)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nested_alloc import Family, Mode, NestedInstance, ObjectiveSpec, ValidationError
-from nested_alloc.model import POLE_FAMILIES, DomainError, _fsum, objective_value
+from nested_alloc.model import POLE_FAMILIES, _fsum, objective_value
 from nested_alloc import rap
 
 from conftest import OBJECTIVE_FAMILIES, random_objective
@@ -26,35 +26,37 @@ def make_instance(**kw):
     return NestedInstance(**base)
 
 
+def _value(spec, i, x):
+    return spec.value_at(np.array([i]), np.array([x]))[0]
+
+
+def _derivative(spec, i, x):
+    return spec.derivative_at(np.array([i]), np.array([x]))[0]
+
+
 class TestObjectiveValues:
     def test_f_family_value(self):
         spec = ObjectiveSpec(Family.F, {"p": np.array([0.0])})
-        assert spec.value(0, 2.0) == 4.0  # 2**4 / 4
+        assert _value(spec, 0, 2.0) == 4.0  # 2**4 / 4
 
     def test_crashing_value(self):
         spec = ObjectiveSpec(Family.CRASHING, {"k": np.array([1.0]), "p": np.array([2.0])})
-        assert spec.value(0, 2.0) == 2.0  # 1 + 2/2
+        assert _value(spec, 0, 2.0) == 2.0  # 1 + 2/2
 
     def test_fuelopt_value(self):
         spec = ObjectiveSpec(Family.FUELOPT, {"p": np.array([1.0]), "c": np.array([1.0])})
-        assert spec.value(0, 2.0) == 0.125  # (1/2)**3
+        assert _value(spec, 0, 2.0) == 0.125  # (1/2)**3
 
     def test_f_derivative(self):
         spec = ObjectiveSpec(Family.F, {"p": np.array([1.0])})
-        assert spec.derivative(0, 1.0) == 2.0
+        assert _derivative(spec, 0, 1.0) == 2.0
 
     def test_quadratic_derivative(self):
-        assert quad_spec().derivative(0, 3.0) == 6.0
+        assert _derivative(quad_spec(), 0, 3.0) == 6.0
 
     def test_crashing_derivative(self):
         spec = ObjectiveSpec(Family.CRASHING, {"k": np.array([0.0]), "p": np.array([4.0])})
-        assert spec.derivative(0, 2.0) == -1.0
-
-    def test_pole_domain_error(self):
-        spec = ObjectiveSpec(Family.CRASHING, {"k": np.array([0.0]), "p": np.array([1.0])})
-        with pytest.raises(DomainError):
-            spec.value(0, -0.5)
-        assert spec.value(0, 0.0) == math.inf
+        assert _derivative(spec, 0, 2.0) == -1.0
 
     def test_custom_needs_value_fn(self):
         with pytest.raises(ValidationError):
@@ -64,8 +66,8 @@ class TestObjectiveValues:
         spec = ObjectiveSpec(
             Family.CUSTOM, {}, value_fn=lambda i, x: x * x, derivative_fn=lambda i, x: 2 * x
         )
-        assert spec.value(1, 3.0) == 9.0
-        assert spec.derivative(1, 3.0) == 6.0
+        assert _value(spec, 1, 3.0) == 9.0
+        assert _derivative(spec, 1, 3.0) == 6.0
         assert spec.differentiable
 
 
@@ -101,7 +103,7 @@ class TestDerivativeConsistency:
             x1, x2, x3 = np.sort(rng.uniform(0.3, 4.0, 3))
             if x3 - x1 < 1e-9:
                 continue
-            f1, f2, f3 = (spec.value(i, float(v)) for v in (x1, x2, x3))
+            f1, f2, f3 = spec.value_at(np.full(3, i), np.array([x1, x2, x3]))
             chord = f1 + (f3 - f1) * (x2 - x1) / (x3 - x1)
             assert f2 <= chord + 1e-9 * (1 + abs(chord))
 
@@ -250,7 +252,7 @@ class TestInverseMap:
 
 def _parent_value(spec, idx, x):
     """`value_at` as it was before value maps, kept verbatim as the
-    reference for the map formulas: reported objectives depend on their bits."""
+    reference for its formulas: reported objectives depend on their bits."""
     fam = spec.family
     with np.errstate(divide="ignore", invalid="ignore"):
         if fam is Family.F:
@@ -268,9 +270,10 @@ def _parent_value(spec, idx, x):
 
 
 class TestValueMap:
-    """`value_map` evaluates the costs that `value_at`, the scalar `value` and
-    `objective_value` report: they must agree bit for bit, and with the
-    formulas the costs were computed with before the maps."""
+    """`value_at`, the map from variable indices and points to costs, gives
+    every cost the package reports: it must agree bit for bit with the
+    formulas the costs were computed with before the maps, gathered at chosen
+    positions or over all elements, and one point at a time."""
 
     N = 300
 
@@ -290,25 +293,27 @@ class TestValueMap:
     @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
     def test_map_equals_value_at_and_value(self, family, rng):
         spec, idx, k, x = self._case(rng, family)
-        v = spec.value_map(idx)(x, k)
-        assert np.array_equal(v, spec.value_at(idx[k], x))
+        v = spec.value_at(idx[k], x)
         assert np.array_equal(v, _parent_value(spec, idx[k], x))
-        scalar = [spec.value(int(i), float(t)) for i, t in zip(idx[k], x)]
-        assert np.array_equal(v, scalar)
+        assert np.array_equal(v, [_value(spec, int(i), t) for i, t in zip(idx[k], x)])
         if family in (Family.CRASHING, Family.FUELOPT):
             assert np.all(v[x == 0.0] == np.inf)
 
     @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
     def test_all_elements_without_positions(self, family, rng):
+        """Rows of points, each pricing one point of every element."""
         spec, idx, _, _ = self._case(rng, family)
-        x = rng.integers(1, 2**53, idx.size).astype(float)
-        assert np.array_equal(spec.value_map(idx)(x), spec.value_at(idx, x))
+        rows = rng.integers(1, 2**53, (3, idx.size)).astype(float)
+        v = spec.value_at(idx, rows)
+        assert all(np.array_equal(v[r], _parent_value(spec, idx, rows[r])) for r in range(3))
 
     def test_custom_calls_value_fn(self):
         spec = ObjectiveSpec(Family.CUSTOM, {}, value_fn=lambda i, x: i * 10.0 + x)
-        val = spec.value_map(np.array([3, 5, 7]))
-        assert val(np.array([1.0, 2.0]), np.array([2, 0])).tolist() == [71.0, 32.0]
-        assert val(np.array([0.0, 0.0, 0.0])).tolist() == [30.0, 50.0, 70.0]
+        idx = np.array([3, 5, 7])
+        assert spec.value_at(idx[[2, 0]], np.array([1.0, 2.0])).tolist() == [71.0, 32.0]
+        assert spec.value_at(idx, np.array([[0.0], [1.0]])).tolist() == [
+            [30.0, 50.0, 70.0], [31.0, 51.0, 71.0]
+        ]
 
 
 def _exact_cost(spec, i, t):
@@ -352,14 +357,15 @@ class TestMarginalMap:
     def test_strictly_increasing_over_200_units(self, family, rng):
         spec = random_objective(rng, family, 30)
         idx = np.arange(30)
-        marg, val = spec.marginal_map(idx), spec.value_map(idx)
+        marg = spec.marginal_map(idx)
         for t in self.UNITS[1:]:
             units = t + np.arange(200.0)[:, None]  # a row per unit, a column per element
             assert np.all(np.diff(marg(units), axis=0) > 0)
             if family is Family.F and t == 1e9:
                 # what the closed form mends: there two costs' difference
                 # rounds to a coarser grid than the marginals' steps
-                assert not np.all(np.diff(val(units) - val(units - 1.0), axis=0) > 0)
+                diff = spec.value_at(idx, units) - spec.value_at(idx, units - 1.0)
+                assert not np.all(np.diff(diff, axis=0) > 0)
 
     @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
     def test_scalar_and_rows_are_the_map_bit_for_bit(self, family, rng):
@@ -489,7 +495,7 @@ class TestImmutability:
 def test_objective_value_is_fsum():
     inst = make_instance()
     x = np.array([1.0, 3.0])
-    expected = math.fsum([inst.objective.value(0, 1.0), inst.objective.value(1, 3.0)])
+    expected = math.fsum([_value(inst.objective, 0, 1.0), _value(inst.objective, 1, 3.0)])
     assert objective_value(inst, x) == expected
 
 

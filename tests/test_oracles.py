@@ -433,7 +433,8 @@ class TestVerifyKktMatchesLoop:
             if seed % 5 == 0:  # the same costs through value_fn alone
                 obj = inst.objective
                 inst = replace(inst, objective=ObjectiveSpec(
-                    Family.CUSTOM, {}, value_fn=obj.value))
+                    Family.CUSTOM, {},
+                    value_fn=lambda i, x, obj=obj: obj.value_at(np.array([i]), np.array([x]))[0]))
             sol = greedy_solve(inst)
             if sol.x is None:
                 continue

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import zlib
 from fractions import Fraction
 
@@ -85,7 +86,8 @@ def enumerate_optimum(obj, idx, c, d, target):
         hi = min(d[i], remaining - suffix_c[i + 1])
         for t in range(lo, hi + 1):
             xs.append(t)
-            rec(i + 1, remaining - t, cost + obj.value(int(idx[i]), float(t)), xs)
+            cost_t = obj.value_at(np.array([idx[i]]), np.array([float(t)]))[0]
+            rec(i + 1, remaining - t, cost + cost_t, xs)
             xs.pop()
 
     rec(0, int(target), 0.0, [])
@@ -215,7 +217,7 @@ class TestInteger:
         assert best[0] == 17.0 and sorted(best[1]) == [2, 2, 3]
         x = integer_rap(quad(3), [0, 0, 0], [10, 10, 10], 7)
         assert sorted(x.tolist()) == [2.0, 2.0, 3.0]
-        assert sum(quad(3).value(i, v) for i, v in enumerate(x)) == 17.0
+        assert quad(3).value_at(np.arange(3), x).sum() == 17.0
 
     def test_no_free_resource(self):
         args = quad(3), [1, 2, 3], [5, 5, 5], 6
@@ -944,6 +946,18 @@ def test_root_stop_within_eps_of_tight_bisection(family):
             sums = np.add.reduceat(x, offsets[:-1])
             rounding = 8 * np.finfo(float).eps * np.add.reduceat(np.abs(x), offsets[:-1])
             assert np.all(np.abs(sums - targets) <= rounding)
+
+
+def test_bracket_at_minus_infinity_warns_nothing():
+    """A target of 1e-300 over zero lower bounds, with a pole at 0 and an
+    infinite upper bound, gets the bracket [-inf, -inf] and hits at once; its
+    bisection budget, the bracket's NaN width, must not raise a warning."""
+    obj = ObjectiveSpec(Family.CRASHING, {"k": np.zeros(3), "p": np.ones(3)})
+    args = one_segment([0.0, 0.0, 0.0], [1.0, np.inf, 2.0], 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_segments_continuous(obj, *args, 1e-9)
+    assert x.tolist() == [1e-300, 0.0, 0.0]
 
 
 def test_root_stop_fills_high_side_hit_downward():

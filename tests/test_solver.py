@@ -29,7 +29,12 @@ from nested_alloc import (
 from nested_alloc import rap as rap_module
 from nested_alloc import solver as solver_mod
 from nested_alloc.cli import _scaled_integer_instance
-from nested_alloc.hull import HullEligibilityError, HullNotApplicableError
+from nested_alloc.hull import (
+    HullEligibilityError,
+    HullNotApplicableError,
+    hull_solve_instance,
+    lifted_crashing_instance,
+)
 from nested_alloc.model import objective_value, prefix_sums
 from nested_alloc.rap import solve_segments_continuous
 
@@ -76,6 +81,19 @@ class TestTighten:
             objective=quad_spec(3), mode=Mode.CONTINUOUS,
         )
         assert np.array_equal(tighten(inst).abar, [0.0, 5.0])
+
+    def test_binding_bounds_are_exact_under_lifted_boxes(self):
+        """Lifted boxes make every block's capacity B, so the capacity through
+        a breakpoint runs up to m B; each binding bound is still taken as it
+        is, not rounded at that scale."""
+        inst = lifted_crashing_instance(5000, 10)
+        suffix_min = np.minimum.accumulate(np.append(inst.a, inst.B)[::-1])[::-1]
+        assert np.array_equal(tighten(inst).abar[1:], suffix_min)
+
+    def test_lifted_solve_within_eps_of_the_hull(self):
+        inst = lifted_crashing_instance(20000, 10)
+        sol, _ = solve(inst, 1e-9)
+        assert np.max(np.abs(sol.x - hull_solve_instance(inst).x)) <= 1e-9
 
 
 class TestFeasibility:
@@ -287,8 +305,7 @@ def test_kernel_output_outside_box_raises(monkeypatch):
 class _EvalCounter(ObjectiveSpec):
     """Counts per-element evaluations while `on`: x(lam) elements of the
     maps `inverse_map` hands out, unit marginals of the maps `marginal_map`
-    hands out, value elements of the maps `value_map` hands out, derivative
-    elements, and `value_at` elements."""
+    hands out, derivative elements, and `value_at` elements."""
 
     def inverse_map(self, idx):
         inv = super().inverse_map(idx)
@@ -309,17 +326,6 @@ class _EvalCounter(ObjectiveSpec):
             if self.on[0]:
                 self.counts["marginal"] += m.size
             return m
-
-        return counted
-
-    def value_map(self, idx):
-        val = super().value_map(idx)
-
-        def counted(x, k=None):
-            v = val(x, k)
-            if self.on[0]:
-                self.counts["value"] += v.size
-            return v
 
         return counted
 
@@ -364,7 +370,7 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
         inst = generate_instance("f-uniform", 8000, 8, 0)
     counter = _EvalCounter(inst.objective.family, inst.objective.params)
     object.__setattr__(counter, "on", [False])
-    kinds = ("inverse_calls", "inverse", "derivative", "marginal", "value", "value_at")
+    kinds = ("inverse_calls", "inverse", "derivative", "marginal", "value_at")
     object.__setattr__(counter, "counts", dict.fromkeys(kinds, 0))
     inst = dataclasses.replace(inst, objective=counter)
     open_calls = [0]
@@ -397,7 +403,7 @@ def test_kernel_counters_match_counting_wrapper(monkeypatch, mode):
     sol, stats = solve(inst, None if mode == "int" else 1e-8)
     assert sol.status is Status.OPTIMAL
     counts = counter.counts
-    assert open_calls[0] > 0 and counts["value_at"] == counts["value"] == 0
+    assert open_calls[0] > 0 and counts["value_at"] == 0
     if mode != "int":
         assert counts["marginal"] == 0
         assert (end_calls[0] > 0) == (mode == "cont-pole") and end_calls[0] <= open_calls[0]
