@@ -1,137 +1,62 @@
 """Kernels for the box-constrained single-equality subproblem (RAP).
 
 A RAP asks for min sum(f_i(x_i)) subject to sum(x_i) = R and c <= x <= d on a
-contiguous slice of variables. Both kernels first set, bit-exact at their
-bounds, the segments that need no search (`_working_set`: a target at or past
-a box-sum end, or at most one movable element d_i > c_i) and every point box
-c_i = d_i, which the decomposition makes common: a left-half child at its
-lower bound, or a right-half child at its upper bound, is fixed for the whole
-level. From then on only the movable elements of the open segments, with each
-target less its point-box mass, are searched, finished and counted.
+contiguous slice of variables. Both kernels solve many disjoint segments at
+once: `offsets` delimits them in compact arrays, and `idx` maps positions to
+variable indices. `_working_set` first closes, bit-exact at their bounds, the
+segments that need no search (a target at or past a box-sum end, at most one
+movable element) and every point box c_i = d_i; only the movable elements of
+the open segments are searched, each target less its point-box mass.
 
-The continuous kernel searches the multiplier of the coupling constraint:
-x_i(lam) = clamp(inv(f'_i)(lam), c_i, d_i) is nondecreasing in lam, so the
-bracket [lam_lo, lam_hi] with sum(x(lam_lo)) <= R <= sum(x(lam_hi)) narrows
-until the segment ends. The cold bracket runs from the least derivative at
-the floor, lam_lo = min f'(c), to the largest at the top, lam_hi = max f'(d),
-where x is exactly c and d, so the excess sum(x) - R at the ends costs no
-evaluation. Only a segment whose end is not finite (a pole at 0, an unbounded
-box) passes its bracket through an interior point instead and has x
-evaluated at both ends.
+The continuous kernel searches the multiplier lam of the coupling constraint:
+x(lam) = clamp((f')^-1(lam), c, d) is nondecreasing in lam. The cold bracket
+runs from min f'(c) to max f'(d), where x is exactly c and d, so its excess
+costs no evaluation; a segment with an end that is not finite (a pole at 0,
+an unbounded box) passes its bracket through an interior point instead.
+Segments of at least `_BREAKPOINT_PHASE_ELEMENTS` movable elements start from
+two probe multipliers (`probes`; the solver passes a merge its children's
+final ones) where these straddle the root or hit it. A step evaluates x at
+one multiplier per segment through one map per call (`_inverse_map`; for
+CUSTOM, bisection of f' inside boxes capped by the segment's target):
 
-A warm bracket replaces the cold one where the caller passes two probe
-multipliers per segment (`probes`; the solver passes a merged segment the
-multipliers that ended its two children, which the kernel writes to
-`lam_out`).
-Open segments of at least `_BREAKPOINT_PHASE_ELEMENTS` movable elements have
-x evaluated at both probes. Where the excess is <= 0 at the lower probe and
->= 0 at the upper one they straddle the root and are the bracket, and the
-segment skips the cold bracket's two derivatives per element; a probe whose
-excess is within eps/2 is a hit and ends the segment. Every other segment,
-one whose probes both lie on one side of the root included, takes the cold
-bracket: a lone probe as one bracket end raised step counts severalfold.
-Segments known to be cold (no probes, a NaN probe, fewer movable elements
-than the gate) take it before the map gathers its constants and before any
-probe is evaluated, one box end's derivatives reduced before the other's are
-evaluated, so the bracket's temporaries meet neither; only segments whose
-probes miss take it next to the probes' allocation.
+- Breakpoint phase, in calls of fewer than 2000 open elements (Kiwiel, Math.
+  Prog. 2008): the median breakpoint f'_i(c_i) or f'_i(d_i) still inside
+  the bracket, until none is.
+- Illinois: regula falsi on the excess at the bracket ends, in the h of
+  `ObjectiveSpec.multiplier_coordinate` (crashing, fuelopt: x = g h(lam)) or
+  in lam, halving the excess kept at an end that stays put twice; the
+  midpoint where the point leaves the bracket or the bracket is wider than
+  `_BISECTION_BUDGET` times what bisection would leave.
+- Geometric steps, in large calls of crashing and fuelopt: -sqrt(lam_lo
+  lam_hi) while the ends differ by more than `_GEOMETRIC_RATIO`.
 
-Each step evaluates x at one multiplier per segment and keeps only
-per-segment state, in one loop for every call:
+A segment ends at the first evaluation whose excess is within eps/2 (the
+root stop), or once its bracket ends are adjacent doubles. A hit's residual
+is filled from its own allocation in index order, up inside d - x(lam) or
+down inside x(lam) - c, each gap capped at the residual: one add where the
+first element with room holds it all (`_add_residuals`), `_segment_fill`
+elsewhere. Optimal allocations are coordinatewise monotone in the target, so
+every filled coordinate lies within |R - R'| <= eps/2 of an optimum. A
+segment stuck without a hit fills inside x(lam_hi) - x(lam_lo). A cold
+bracket [L, L] from the box ends means f' = L on every box, where every
+feasible point is optimal: a hit at the floor, filled in index order like
+any other. `lam_out` receives each segment's final multiplier. Large calls
+compact once half their segments are done. A fill that leaves a residual,
+or a search still open after `_MAX_STEPS`, raises.
 
-- Breakpoint phase, in calls of fewer than 2000 open elements (Kiwiel's
-  breakpoint search, Math. Prog. 2008). The breakpoints f'_i(c_i) and
-  f'_i(d_i) strictly inside a segment's bracket are sorted once, and a step
-  evaluates the median one left, so after about log2(2K) steps none is
-  inside and every element keeps its clamp state across the bracket.
-- Interpolation (Illinois). A step tries the regula falsi point of the
-  excess at the two ends, and the excess kept at an end that stays put in
-  two interpolation steps in a row is halved. On a bracket without kinks,
-  crashing and fuelopt have x_i = g_i h(lam) with h = (-lam)^(-1/2) and
-  (-lam)^(-1/4) (`ObjectiveSpec.multiplier_coordinate`), and quadratic x is
-  affine in lam, so regula falsi in h (in lam for quadratic) lands on the
-  root; F and CUSTOM interpolate in lam. Calls of every size use the same
-  coordinate. A step takes the midpoint instead when the point leaves the
-  open bracket or is not finite, or when the bracket is wider than its
-  budget: `_BISECTION_BUDGET` (16) times what plain bisection would leave
-  after as many interpolation steps. The budget is set when the search
-  starts and never restarted, the same rule as the integer kernel's, so no
-  bracket falls more than five halvings behind bisection.
-- Geometric steps, in large calls of crashing and fuelopt. Near their pole
-  x(lam) runs over decades, and a cold bracket from a floor near 0 spans
-  many of them (lam_lo = -p / c^2), where the midpoint gets nowhere and
-  regula falsi, across the kinks of every element that leaves its floor, is
-  slow. While a bracket's ends differ by more than a factor of
-  `_GEOMETRIC_RATIO`, the step is their geometric mean -sqrt(lam_lo lam_hi),
-  which halves the bracket in log(-lam); it overrides the interpolation
-  point, not the budget.
+The integer kernel searches over unit marginals f_i(t) - f_i(t - 1), priced
+in closed form by `ObjectiveSpec.marginal_map`, with the same step rule
+(`_propose`, `_illinois`). At lam an element takes the largest unit whose
+marginal is <= lam; the kernel keeps the allocations at both bracket ends and
+searches between them. By convexity that unit is within one of
+(f')^-1(lam) (Hochbaum's proximity), so `_int_alloc` probes the rounded
+point and halves only what the probe leaves open (every element of CUSTOM).
+A segment stops at an exact hit (the greedy's answer), at most one unit per
+element between its ends, or adjacent doubles; its residual units go out in
+greedy order, ascending marginal and lowest index first.
 
-A segment ends once one evaluation (a probe, a bracket end or a step) gives an
-excess within eps/2 of zero (the root stop), and that evaluation's allocation
-is the one per-element array kept; its multiplier is what the kernel writes to
-`lam_out`, so the level above starts from the one that hit. Its residual is
-filled from it in index order, up inside d - x(lam) for a hit from below, down
-inside x(lam) - c for a hit from above, with every gap capped at the residual:
-one add to the first element with room where it holds all of it
-(`_add_residuals`, the closed form), the general fill elsewhere. The box bound
-is sound: x(lam) is exactly optimal for its own sum R', and optimal
-allocations are coordinatewise monotone in the target, so an optimum for R
-lies in the box [x(lam) - |R - R'|, x(lam)] (or its mirror above x(lam)), and
-so does the filled point. They differ by at most |R - R'| <= eps/2 per
-coordinate. Every segment also ends once lam_lo and lam_hi are adjacent
-doubles (`stuck`); one that ends so without a hit has x evaluated at both of
-its bracket ends again, for its own elements only, and its residual
-R - sum(x(lam_lo)) is filled up inside x(lam_hi) - x(lam_lo); its `lam_out` is
-its bracket's midpoint. Large calls retire finished segments and compact the
-working set once half of them are done; small calls finalize once, at the end.
-
-Every step evaluates x(lam) through one map per call (`_inverse_map`), built
-again after each compaction: the objective's `ObjectiveSpec.inverse_map`,
-which gathers per-variable constants once and runs the work that depends on
-lam alone per segment (crashing and fuelopt then cost one multiply per
-element, x = g h(lam)), or for CUSTOM objectives, which have no closed form,
-a map of the same signature that inverts f' by bisection inside the boxes.
-A segment whose residual cannot be placed in its gaps has flat marginals,
-and its budget is spread uniformly. A search that still has open segments
-after `max_iter` steps raises instead of returning an unconverged point.
-
-The integer kernel searches over unit marginal costs f_i(t) - f_i(t-1) with
-the same step rule (`_propose`, `_illinois`): the regula falsi point of the
-unit excess sum(x) - R, in h for crashing and fuelopt, Illinois halving, and
-the same bisection budget. At a multiplier lam an element takes the largest
-unit t whose marginal is <= lam. The kernel keeps the unit allocations at both
-bracket ends, so each step searches only between them, and the excess at the
-ends costs nothing. A segment stops at an exact hit (sum(x(lam)) = R, which is
-the greedy's answer), once its ends differ by at most one unit per element, or
-once they are adjacent doubles; once half of the working segments have
-stopped, they are finished and the live ones compacted. By convexity t lies
-within one unit of the continuous point x_c = (f')^-1(lam) (Hochbaum's
-proximity), so a step probes g = round(x_c), taken from the inverse map at the
-open elements, and checks two marginals: unit g qualifies and unit g + 1 does
-not. Every unit the kernel prices (the probe's pair, the halving, the bracket
-ends and the finish) goes through one map per call,
-`ObjectiveSpec.marginal_map`, which evaluates each built-in family's marginal
-in closed form instead of as the difference of two costs. Those marginals
-stay accurate and increasing in t where the costs dwarf them (F near 1e9
-units), as the proximity argument needs. The greedy oracles price through
-the same function, so a probe can only narrow an element's unit range, and
-the kernel's answer is the greedy's by construction; the few elements a probe
-leaves open, and all elements of CUSTOM objectives, which have no inverse
-map, are halved. The few residual units then go out in greedy order,
-ascending marginal with the lowest index first, the order in which the heap
-greedy oracle `oracles.rap_integer_greedy` hands them out one at a time.
-
-All kernels operate on many disjoint segments at once: `offsets` delimits
-segments inside compact arrays, and `idx` maps compact positions to variable
-indices of the owning objective. Both kernels gather their working set with
-`_working_set` and retire segments alike: they finish the stopped ones
-through `_select_segments`, then use it to drop them from the working set and
-build the maps again for the live elements. Given a `SolveStats`, a kernel
-adds its multiplier steps to `kernel_steps` and its working set's
-per-element objective evaluations to `kernel_evals`: x(lam), bracket ends
-and probes evaluated included (neither is a step), and the cold bracket's
-derivatives in the continuous kernel, unit marginals and probed continuous
-points in the integer kernel.
+Given a `SolveStats`, a kernel adds its steps to `kernel_steps` and its
+per-element evaluations (maps, derivatives, marginals) to `kernel_evals`.
 """
 
 from __future__ import annotations
@@ -162,6 +87,18 @@ _GEOMETRIC_RATIO = 16.0
 # the search starts and never restarted, so no bracket falls more than five
 # halvings (32x) behind plain bisection.
 _BISECTION_BUDGET = 16.0
+# The continuous kernel's step cap. A bracket of doubles is down to adjacent
+# doubles once its width is 2^-1074, the least spacing of doubles, and it
+# starts below 2^1025. The budget halves at every interpolation step and a
+# bracket wider than it takes the midpoint, so after k steps a bracket is at
+# most 2^(5 + j - k) times its initial width, j counting the steps whose
+# point overrides the budget: at most 12 of the breakpoint phase (fewer than
+# 4000 breakpoints) in a small call, or ten geometric ones (each takes the
+# square root of the ratio of its ends, below 2^2099) in a large call. So
+# 5 + 12 + 1025 + 1074 = 2116 steps leave every bracket stuck, and the cap
+# sits above that: the adjacent-doubles test ends pathological brackets, not
+# the cap.
+_MAX_STEPS = 2200
 # Rows of units t and t + 1, the pair the integer kernel's probe prices.
 _NEXT_UNIT = np.array([[0.0], [1.0]])
 
@@ -220,20 +157,23 @@ def _add_residuals(x, lo, hi, offsets, lengths, resid, which):
     return one
 
 
-def _inverse_map(obj, idx, lo, hi):
+def _inverse_map(obj, idx, lo, hi, offsets, targets):
     """`obj.inverse_map(idx)`, or for CUSTOM a map of the same signature
-    that inverts f' by bisection inside the boxes [lo, hi]."""
+    that inverts f' by bisection inside the boxes [lo, hi], each upper bound
+    capped at lo plus its segment's target less the segment's lower-bound
+    sum: no feasible point exceeds that cap, and it is finite."""
     inv = obj.inverse_map(idx)
     if inv is not None:
         return inv
+    room = np.repeat(targets - np.add.reduceat(lo, offsets[:-1]), np.diff(offsets))
+    hi = np.minimum(hi, lo + room)
     return lambda lam, seg_len=None, k=None: _bisect_inverse(
         obj, _pick(idx, k), _at(lam, seg_len), _pick(lo, k), _pick(hi, k)
     )
 
 
 def _bisect_inverse(obj, idx, lam_e, lo, hi):
-    a = lo.copy()
-    b = np.where(np.isfinite(hi), hi, np.maximum(lo, 1.0) * 2.0**40)
+    a, b = lo, hi
     for _ in range(80):
         mid = 0.5 * (a + b)
         up = obj.derivative_at(idx, mid) <= lam_e
@@ -394,18 +334,6 @@ def solve_segments_continuous(
     eps_x: float,
     deadline: float | None = None,
     stats: SolveStats | None = None,
-    # A bracket of doubles is down to adjacent doubles once its width is
-    # 2^-1074, the least spacing of doubles, and it starts below 2^1025. The
-    # budget halves at every interpolation step and a bracket wider than it
-    # takes the midpoint, so after k steps a bracket is at most 2^(5 + j - k)
-    # times its initial width, j counting the steps whose point overrides
-    # the budget: at most 12 of the breakpoint phase (fewer than 4000
-    # breakpoints) in a small call, or ten geometric ones (each takes the
-    # square root of the ratio of its ends, below 2^2099) in a large call.
-    # So 5 + 12 + 1025 + 1074 = 2116 steps leave every bracket stuck, and
-    # the cap sits above that: the adjacent-doubles test ends pathological
-    # brackets, not the cap.
-    max_iter: int = 2200,
     *,
     probes: np.ndarray | None = None,
     lam_out: np.ndarray | None = None,
@@ -423,7 +351,8 @@ def solve_segments_continuous(
     its bracket's midpoint where it ends stuck, NaN where `_working_set`
     closes it.
 
-    Raises RuntimeError if segments are still open after max_iter steps.
+    Raises RuntimeError if segments are still open after `_MAX_STEPS` steps,
+    or if a fill leaves a segment's residual unplaced.
     """
     x_out, out_pos, seg_off, seg_len, e_idx, e_lo, e_hi, seg_tgt = _working_set(
         idx, lo, hi, offsets, targets
@@ -506,7 +435,7 @@ def solve_segments_continuous(
         # gathers and derivatives meet neither
         if not warm.all():
             cold_bracket(~warm)
-        inv = _inverse_map(obj, e_idx, e_lo, e_hi)
+        inv = _inverse_map(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)
         pos, w_off, xa, xb = x_ends(warm, p_lo, p_hi)
         fa = np.add.reduceat(xa, w_off[:-1]) - seg_tgt[warm]
         fb = np.add.reduceat(xb, w_off[:-1]) - seg_tgt[warm]
@@ -547,7 +476,7 @@ def solve_segments_continuous(
         del d_lo, d_hi  # the loop keeps no per-element state but x_fin
         # built after the bracket, whose derivatives then do not meet the
         # constants it gathers
-        inv = _inverse_map(obj, e_idx, e_lo, e_hi)
+        inv = _inverse_map(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)
         x_fin = e_lo.copy()
         box_top = ~bad
     else:
@@ -561,9 +490,11 @@ def solve_segments_continuous(
         del xl, xh
     # root stop: an evaluation whose excess is within half_eps of zero ends
     # its segment, and x_fin keeps that evaluation's allocation; no other
-    # per-element state is kept
+    # per-element state is kept. A cold bracket that is one point [L, L]
+    # from the box ends has f' = L over every box, so every feasible point is
+    # optimal: a hit at the floor, where x_fin is e_lo
     hit_hi = np.abs(f_hi) <= half_eps
-    hit = hit_hi | (np.abs(f_lo) <= half_eps)
+    hit = hit_hi | (np.abs(f_lo) <= half_eps) | (box_top & (lam_lo == lam_hi))
     if lam_out is not None:
         lam_out[seg_ids[hit]] = np.where(hit_hi, lam_hi, lam_lo)[hit]
     top = hit_hi & box_top
@@ -610,14 +541,11 @@ def solve_segments_continuous(
         x = _segment_fill(xl, gaps, sub_off, resid, sub_len)
         if flip is not None:
             np.negative(x, out=x, where=flip)
-        leftover = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
-        big = np.abs(leftover) > eps_x * sub_len
-        if np.any(big):
-            # flat-marginal segment: any feasible point is optimal there, so
-            # restart from the floor and spread the budget uniformly
-            np.copyto(x, e_lo[pos], where=np.repeat(big, sub_len))
-            budget = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
-            x = _waterfill(x, e_hi[pos], sub_off, budget, big)
+        # a sound fill places every residual: what it leaves is a broken
+        # invariant (a map that is not monotone), not a point to return
+        leftover = np.abs(seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1]))
+        if (leftover > eps_x * sub_len).any():
+            raise RuntimeError(f"fill left a residual of {leftover.max()} unplaced")
         x_out[out_pos[pos]] = x
 
     it = 0
@@ -636,7 +564,7 @@ def solve_segments_continuous(
                 finalize(np.ones(done.size, dtype=bool))
                 stats.kernel_steps += it
                 return x_out
-            if it >= max_iter:
+            if it >= _MAX_STEPS:
                 _, _, xl, xh = x_ends(~done, lam_lo, lam_hi)
                 raise RuntimeError(
                     f"multiplier search left {done.size - n_done} segments open after "
@@ -666,7 +594,7 @@ def solve_segments_continuous(
                 done = hit
                 if lam_out is not None:
                     seg_ids = seg_ids[keep]
-                inv = _inverse_map(obj, e_idx, e_lo, e_hi)
+                inv = _inverse_map(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)
             live = ~done
             scanning, interpolating = False, True
             if small:
@@ -719,25 +647,6 @@ def solve_segments_continuous(
             it += 1
             if it % 8 == 0:
                 _check_deadline(deadline)
-
-
-def _waterfill(x, hi, offsets, leftover, which):
-    """Uniformly absorb per-segment leftovers into remaining capacity."""
-    for k in np.flatnonzero(which):
-        s, e = offsets[k], offsets[k + 1]
-        resid = leftover[k]
-        xs = x[s:e].copy()
-        for _ in range(64):
-            room = hi[s:e] - xs
-            active = room > 0
-            if resid <= 0 or not active.any():
-                break
-            share = resid / active.sum()
-            add = np.minimum(np.where(active, share, 0.0), room)
-            xs += add
-            resid -= add.sum()
-        x[s:e] = xs
-    return x
 
 
 def _int_alloc(marginal, k, tl, th, lam_k, guess):

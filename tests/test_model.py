@@ -186,7 +186,9 @@ class TestInverseMap:
 
     def test_custom_map_is_per_element_bisection(self, rng):
         """The continuous kernel's map for CUSTOM runs `_bisect_inverse`
-        inside the boxes: per segment and at positions k, bit for bit."""
+        inside the boxes, each upper bound capped at lo plus its segment's
+        target less the segment's lower-bound sum, which keeps infinite
+        uppers finite: per segment and at positions k, bit for bit."""
         ref, idx, lam, seg_len, lam_e = self._case(rng, Family.QUADRATIC)
         w, t = ref.params["w"], ref.params["t"]
         spec = ObjectiveSpec(
@@ -196,12 +198,19 @@ class TestInverseMap:
         )
         lo = rng.uniform(-5.0, 0.0, idx.size)
         hi = np.where(rng.random(idx.size) < 0.2, np.inf, lo + rng.uniform(0.0, 10.0, idx.size))
-        inv = rap._inverse_map(spec, idx, lo, hi)
+        # the cap's segments: the nonempty ones, each with room 0 to 20
+        lengths = seg_len[seg_len > 0]
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        lo_sums = np.add.reduceat(lo, offsets[:-1])
+        targets = lo_sums + rng.uniform(0.0, 20.0, lengths.size)
+        cap = np.minimum(hi, lo + np.repeat(targets - lo_sums, lengths))
+        assert np.isfinite(cap).all() and (cap < hi).any() and (cap == hi).any()
+        inv = rap._inverse_map(spec, idx, lo, hi, offsets, targets)
         x = inv(lam, seg_len)
-        assert np.array_equal(x, rap._bisect_inverse(spec, idx, lam_e, lo, hi))
+        assert np.array_equal(x, rap._bisect_inverse(spec, idx, lam_e, lo, cap))
         k = rng.integers(0, idx.size, 80)
         x_k = inv(lam_e[k], k=k)
-        assert np.array_equal(x_k, rap._bisect_inverse(spec, idx[k], lam_e[k], lo[k], hi[k]))
+        assert np.array_equal(x_k, rap._bisect_inverse(spec, idx[k], lam_e[k], lo[k], cap[k]))
         assert np.array_equal(x_k, x[k])
 
     @pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])

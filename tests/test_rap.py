@@ -34,7 +34,6 @@ from nested_alloc.rap import (
     _concat_ranges,
     _inverse_map,
     _segment_fill,
-    _waterfill,
     _working_set,
     solve_segments_continuous,
     solve_segments_integer,
@@ -43,9 +42,12 @@ from nested_alloc.rap import (
 from conftest import OBJECTIVE_FAMILIES, one_segment, random_objective, vector_custom
 
 
-def _clamped_inverse(obj, idx, lam_e, lo, hi):
-    """x(lam) per element through the kernel's map, clamped to [lo, hi]."""
-    x = _inverse_map(obj, idx, lo, hi)(lam_e)
+def _clamped_inverse(obj, idx, lam_e, lo, hi, offsets=None, targets=None):
+    """x(lam) per element through the kernel's map, clamped to [lo, hi]: of
+    the segments `offsets` with `targets`, or of one segment at its box sum."""
+    if offsets is None:
+        offsets, targets = np.array([0, idx.size]), np.array([np.sum(hi)])
+    x = _inverse_map(obj, idx, lo, hi, offsets, targets)(lam_e)
     return np.minimum(np.maximum(x, lo), hi)
 
 
@@ -193,12 +195,13 @@ class TestContinuous:
         assert sum_lo <= target <= sum_hi
 
     def test_flat_marginals_waterfill(self):
+        """Equal linear costs: every feasible point is optimal, and the
+        segment fills from its floor in index order."""
         obj = ObjectiveSpec(
             Family.CUSTOM, {}, value_fn=lambda i, x: 3.0 * x, derivative_fn=lambda i, x: 3.0
         )
         x = continuous_rap(obj, [0, 0, 0], [4, 4, 4], 6.0, 1e-9)
-        assert abs(x.sum() - 6.0) <= 1e-9
-        assert np.allclose(x, [2, 2, 2])  # uniform split of the residual
+        assert x.tolist() == [4.0, 2.0, 0.0]
 
 
 class TestInteger:
@@ -646,8 +649,8 @@ def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, 
 
     lam_lo, lam_hi = _masked_bracket(obj, e_idx, e_lo, e_hi, seg_off, seg_tgt)
     # allocations at the bracket ends, maintained incrementally per bisection
-    x_l = _clamped_inverse(obj, e_idx, lam_lo[seg_of], e_lo, e_hi)
-    x_h = _clamped_inverse(obj, e_idx, lam_hi[seg_of], e_lo, e_hi)
+    x_l = _clamped_inverse(obj, e_idx, lam_lo[seg_of], e_lo, e_hi, seg_off, seg_tgt)
+    x_h = _clamped_inverse(obj, e_idx, lam_hi[seg_of], e_lo, e_hi, seg_off, seg_tgt)
 
     def finalize(sel):
         """Repair converged segments: fill residual gaps in index order."""
@@ -664,17 +667,21 @@ def _bisect_reference(obj, idx, lo, hi, offsets, targets, eps_x, deadline=None, 
         big = np.abs(leftover) > eps_x * sub_len
         if np.any(big):
             # flat-marginal segment: any feasible point is optimal there, so
-            # restart from the floor and spread the budget uniformly
-            np.copyto(x, e_lo[elems], where=big[sub_of])
-            budget = seg_tgt[sel] - np.add.reduceat(x, sub_off[:-1])
-            x = _waterfill(x, e_hi[elems], sub_off, budget, big)
+            # restart from the floor and fill in index order
+            floor = big[sub_of]
+            fl = e_lo[elems]
+            budget = seg_tgt[sel] - np.add.reduceat(np.where(floor, fl, x), sub_off[:-1])
+            # gaps capped at the budget stay finite under infinite uppers
+            gaps = np.minimum(e_hi[elems] - fl, np.repeat(np.maximum(budget, 0.0), sub_len))
+            filled = _segment_fill(fl, gaps, sub_off, budget, sub_len)
+            x = np.where(floor, filled, x)
         x_out[out_pos[elems]] = x
 
     it = 0
     while True:
         lam = 0.5 * (lam_lo + lam_hi)
         stuck = (lam <= lam_lo) | (lam >= lam_hi)  # float resolution exhausted
-        xm = _clamped_inverse(obj, e_idx, lam[seg_of], e_lo, e_hi)
+        xm = _clamped_inverse(obj, e_idx, lam[seg_of], e_lo, e_hi, seg_off, seg_tgt)
         sums = np.add.reduceat(xm, seg_off[:-1])
         ge = sums >= seg_tgt
         move_hi = ge & ~stuck
@@ -785,9 +792,10 @@ def test_illinois_matches_bisection_above_threshold():
     """Calls big enough to skip the breakpoint phase. Besides ordinary
     targets they hold a segment at its box sum, one an ulp below it, which
     hits at a bracket end, and one at 0 on a floor of zeros. A CUSTOM call
-    holds two segments that end stuck without a hit and have their bracket
-    ends evaluated again: one of flat marginals, stuck at once, and one whose
-    x(lam) jumps at its multiplier, stuck at adjacent doubles."""
+    holds a segment of flat marginals, a hit at its floor that fills in
+    index order, and one whose x(lam) jumps at its multiplier, which ends
+    stuck at adjacent doubles without a hit and has its bracket ends
+    evaluated again."""
     rng = np.random.Generator(np.random.PCG64(76))
     lengths = [2500, 1, 7, 300, 2, 60, 40, 9]
     assert sum(lengths) >= rap_module._BREAKPOINT_PHASE_ELEMENTS
@@ -820,7 +828,8 @@ def test_illinois_matches_bisection_above_threshold():
     c = np.zeros(n_flat + 5)
     d = np.full(n_flat + 5, 4.0)
     x = _assert_matches_bisection(obj, c, d, [n_flat, 5], [2.5 * n_flat, 7.5], 1e-9)
-    assert np.allclose(x[:n_flat], 2.5)
+    full = n_flat * 5 // 8  # 2.5 per element over boxes [0, 4]
+    assert np.all(x[:full] == 4.0) and np.all(x[full:n_flat] == 0.0)
 
 
 @pytest.mark.parametrize("family", [Family.CRASHING, Family.FUELOPT])
@@ -847,7 +856,8 @@ def test_illinois_infinite_uppers(family):
 
 def test_illinois_flat_marginals_waterfill():
     """Segments of equal linear marginals end at once (the bracket is one
-    point) and spread their budget uniformly; a quadratic segment rides along."""
+    point, a hit at the floor) and fill in index order; a quadratic segment
+    rides along."""
     obj = ObjectiveSpec(
         Family.CUSTOM,
         {},
@@ -858,7 +868,56 @@ def test_illinois_flat_marginals_waterfill():
     c = np.zeros(12)
     d = np.full(12, 4.0)
     x = _assert_matches_bisection(obj, c, d, lengths, [6.0, 10.0, 7.0], 1e-9)
-    assert np.allclose(x[:7], [2, 2, 2, 2.5, 2.5, 2.5, 2.5])
+    assert x[:7].tolist() == [4, 2, 0, 4, 4, 2, 0]
+
+
+def test_flat_segment_with_probes_hits_at_its_floor():
+    """A flat segment above the gate whose probes (3, 3) sit on its one
+    multiplier: x there is the box top, so the probes miss and the cold
+    bracket [3, 3] ends the segment as a hit at its floor, without a step.
+    It fills in index order and reports 3 in `lam_out`; the evaluations are
+    the probes' and the bracket's, two per element each."""
+    n = 2500
+    obj = ObjectiveSpec(
+        Family.CUSTOM, {}, value_fn=lambda i, x: 3.0 * x, derivative_fn=lambda i, x: 3.0
+    )
+    c, d = np.zeros(n), np.full(n, 4.0)
+    x, lam, stats = _warm_call(obj, c, d, [n], np.array([1000.5]), np.array([[3.0, 3.0]]))
+    assert stats.kernel_steps == 0 and lam.tolist() == [3.0]
+    assert stats.kernel_evals == 4 * n
+    assert np.all(x[:250] == 4.0) and x[250] == 0.5 and np.all(x[251:] == 0.0)
+
+
+def test_unplaceable_residual_raises():
+    """f' = -x is decreasing, so x(lam) is not monotone: the cold bracket's
+    ends come out reversed, the search ends at once without a hit, and the
+    bracket ends give gaps that cannot hold the residual. The kernel raises,
+    naming the residual, rather than return a point off its target."""
+    obj = ObjectiveSpec(
+        Family.CUSTOM, {}, value_fn=lambda i, x: -0.5 * x * x, derivative_fn=lambda i, x: -x
+    )
+    with pytest.raises(RuntimeError, match="residual of 6.0 unplaced"):
+        continuous_rap(obj, [0, 0, 0], [4, 4, 4], 6.0, 1e-9)
+
+
+def test_custom_infinite_uppers_reach_a_large_total():
+    """A CUSTOM quadratic w x^2 with w = (1, 2, 4), lower 0, upper inf and
+    B = 1e13 through `solve`: the optimum B (1/w) / sum(1/w) lies far above
+    any fixed cap of the bisection's upper end, which the segment's target
+    bounds instead."""
+    w = np.array([1.0, 2.0, 4.0])
+    obj = ObjectiveSpec(
+        Family.CUSTOM, {},
+        value_fn=lambda i, x: w[i] * x * x, derivative_fn=lambda i, x: 2.0 * w[i] * x,
+    )
+    B = 1e13
+    inst = NestedInstance(
+        n=3, m=1, s=np.array([3]), a=np.array([]), B=B, lower=np.zeros(3),
+        upper=np.full(3, np.inf), objective=obj, mode=Mode.CONTINUOUS,
+    )
+    sol, _ = solve(inst, 1e-8)
+    assert sol.status is Status.OPTIMAL
+    assert np.all(np.abs(sol.x - B * (1.0 / w) / np.sum(1.0 / w)) <= 1e-12 * B)
 
 
 @pytest.mark.parametrize("family", OBJECTIVE_FAMILIES)
@@ -981,8 +1040,8 @@ def test_root_stop_fills_high_side_hit_downward():
 
 
 @pytest.mark.parametrize("large", [False, True])
-def test_exhausted_search_raises(large):
-    """A search cut off by max_iter with segments still open raises rather
+def test_exhausted_search_raises(monkeypatch, large):
+    """A search cut off by `_MAX_STEPS` with segments still open raises rather
     than finalizing a point with no eps guarantee, in a call below the gate
     (still in its breakpoint phase) and in one above it."""
     rng = np.random.Generator(np.random.PCG64(81))
@@ -993,8 +1052,10 @@ def test_exhausted_search_raises(large):
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     idx = np.arange(c.size)
     message = rf"left {3 + large} segments open after 3 steps; widest x-gap"
-    with pytest.raises(RuntimeError, match=message):
-        solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9, max_iter=3)
+    with monkeypatch.context() as m:
+        m.setattr(rap_module, "_MAX_STEPS", 3)
+        with pytest.raises(RuntimeError, match=message):
+            solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9)
     x = solve_segments_continuous(obj, idx, c, d, offsets, targets, 1e-9)
     assert np.all((x >= c) & (x <= d))
 
@@ -1045,7 +1106,7 @@ def test_tied_breakpoints(family):
 def test_small_custom_jump_ends_stuck():
     """x(lam) jumps from 1 to 2 at lam = 1 inside a bracket [0, 3] that
     holds no breakpoint: no step can hit a target of 1.5 per element, so the
-    search ends stuck at adjacent doubles long before max_iter, evaluates its
+    search ends stuck at adjacent doubles long before `_MAX_STEPS`, evaluates its
     bracket ends and fills up from x = 1 in index order."""
 
     def cost(i, x):
